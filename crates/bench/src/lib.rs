@@ -153,50 +153,13 @@ impl Report {
 //
 // Each figure bin additionally emits a `BENCH_<name>.json` next to the
 // markdown table, so successive commits leave a comparable perf trajectory.
-// Hand-rolled JSON like the rest of the workspace (std-only, no format
-// crate); the `check_bench_json` bin validates the schema in CI.
+// Written with the workspace's std-only `adamant_storage::json` writer; the
+// `check_bench_json` bin validates the schema in CI.
 
 /// Schema version stamped into every `BENCH_*.json`.
 pub const BENCH_SCHEMA_VERSION: u64 = 1;
 
-/// Quotes and escapes a JSON string.
-pub fn jstr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Formats an `f64` as a JSON number (non-finite values become 0 — JSON has
-/// no NaN/Infinity).
-pub fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        "0.0".to_string()
-    }
-}
-
-/// Builds one JSON object from pre-rendered `(key, value)` pairs (values
-/// must already be valid JSON fragments).
-pub fn jobj(fields: &[(&str, String)]) -> String {
-    let body: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("{}:{v}", jstr(k)))
-        .collect();
-    format!("{{{}}}", body.join(","))
-}
+pub use adamant::storage::json::{jnum, jobj, jstr};
 
 /// Writes `BENCH_<name>.json` into the current directory (the repo root
 /// when run via `cargo run`): a schema-versioned envelope around the bin's

@@ -28,9 +28,7 @@
 use crate::graph::DataRef;
 use crate::hub::HostAccum;
 use adamant_device::buffer::BufferData;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+use adamant_storage::fnv::{fnv1a_extend, FNV_OFFSET};
 
 /// Configuration of the checkpoint subsystem (disabled by default).
 ///
@@ -122,9 +120,7 @@ pub struct QueryCheckpoint {
 }
 
 fn eat(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h = (*h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
+    *h = fnv1a_extend(*h, bytes);
 }
 
 fn eat_ref(h: &mut u64, r: &DataRef) {

@@ -1,163 +1,223 @@
 //! Execution statistics — the quantities the paper's figures report.
+//!
+//! Every scalar run counter is declared once, in
+//! [`crate::run_counters!`]. That one table generates the counter fields of
+//! [`ExecutionStats`], their part of [`ExecutionStats::to_json`], and the
+//! scheduler's aggregate fields and fold (`adamant_sched::SchedulerStats`).
 
 use adamant_device::health::HealthSnapshot;
+use adamant_storage::json::{jmap, jnum, jobj, jstr, JsonNumber};
 use std::collections::BTreeMap;
 
-/// Statistics of one query execution.
+/// The run-counter table: every scalar counter of [`ExecutionStats`], in
+/// export order. Each row is a doc comment and
+/// `sum|gauge field: type => "json_key";`.
 ///
-/// All `*_ns` fields are **modeled** times from the device cost models
-/// (deterministic, hardware-independent); `wall_ns` is the real wall clock
-/// of the simulation itself.
-#[derive(Clone, Debug, Default)]
-pub struct ExecutionStats {
-    /// Execution model name.
-    pub model: String,
-    /// Total modeled elapsed time (makespan under the model's overlap
-    /// policy). The y-axis of Fig. 11.
-    pub total_ns: f64,
-    /// Modeled time spent on transfers (serial sum, both directions).
-    pub transfer_ns: f64,
-    /// Modeled time spent in kernels (serial sum).
-    pub compute_ns: f64,
-    /// Modeled time in allocation/free/transform/compile operations.
-    pub other_ns: f64,
-    /// Modeled kernel time per node label (Fig. 10's "sum of processing
-    /// time of the individual primitives").
-    pub per_primitive_ns: BTreeMap<String, f64>,
-    /// Bytes moved host→device.
-    pub bytes_h2d: u64,
-    /// Bytes moved device→host.
-    pub bytes_d2h: u64,
-    /// Peak device-memory usage per device name (Fig. 7-right).
-    pub peak_device_bytes: BTreeMap<String, u64>,
-    /// Device-memory usage after each primitive execution, in order
-    /// (`(label, bytes)`), for the Fig. 7-right footprint trace.
-    pub memory_trace: Vec<(String, u64)>,
-    /// Number of chunks processed across all streaming pipelines.
-    pub chunks_processed: usize,
-    /// Number of pipelines executed.
-    pub pipelines: usize,
-    /// Pipeline attempts that failed and were retried (any recovery kind).
-    pub retries: usize,
-    /// Retries where the streaming chunk size was halved after a device
-    /// out-of-memory error.
-    pub chunk_backoffs: usize,
-    /// Retries where a pipeline was re-placed onto a fallback device after
-    /// a persistent kernel failure or missing implementation.
-    pub fallback_placements: usize,
-    /// Chunk-size regrowths: the backed-off streaming chunk size was doubled
-    /// back toward the configured value after sustained success.
-    pub chunk_regrowths: usize,
-    /// Device circuit breakers tripped (`Closed → Open`, or a failed
-    /// `HalfOpen` probe re-opening) during this run.
-    pub breaker_trips: usize,
-    /// Times a quarantined device was skipped: pipelines moved off `Open`
-    /// devices at placement time plus hub transfers re-sourced away from
-    /// quarantined holders.
-    pub quarantine_skips: usize,
-    /// `HalfOpen` probes that succeeded and restored a device to `Closed`.
-    pub probe_successes: usize,
-    /// Per-`(device, kernel)` circuit breakers tripped during this run (a
-    /// kernel quarantined without quarantining its device).
-    pub kernel_breaker_trips: usize,
-    /// `HalfOpen` kernel probes that succeeded and restored a
-    /// `(device, kernel)` breaker to `Closed`.
-    pub kernel_probe_successes: usize,
-    /// Runs aborted because the simulated-timeline deadline was exceeded.
-    pub deadline_aborts: usize,
-    /// Chunk executions whose modeled duration overran the watchdog budget
-    /// (the cost model's fault-free expectation times the configured
-    /// multiplier).
-    pub watchdog_fires: usize,
-    /// Hedged duplicate chunk executions launched on an alternate device
-    /// after a watchdog fired.
-    pub hedged_launches: usize,
-    /// Hedged duplicates that finished ahead of the straggling primary and
-    /// supplied the chunk's modeled completion time.
-    pub hedge_wins: usize,
-    /// Host↔device transfers retransmitted after an end-to-end checksum
-    /// mismatch (silent corruption caught and repaired by the hub).
-    pub corruption_retransmits: usize,
-    /// Inputs served from a cross-query residency-cache pin created by an
-    /// earlier run (first touch per run per `(device, input)`).
-    pub cache_hits: usize,
-    /// First-touch residency-cache lookups that found no usable pin.
-    pub cache_misses: usize,
-    /// Residency-cache entries evicted for budget or admission pressure.
-    pub cache_evictions: usize,
-    /// Residency-cache entries dropped by fault recovery or staleness.
-    pub cache_invalidations: usize,
-    /// Bytes the residency cache holds pinned device-side after this run.
-    pub cache_pinned_bytes: u64,
-    /// Modeled host→device nanoseconds the residency cache avoided (whole
-    /// hits plus chunk stagings served device-internally).
-    pub cache_saved_transfer_ns: f64,
-    /// Rollback `delete_memory` failures that were *not* the tolerated
-    /// died-mid-allocation case — real double-free/accounting bugs that
-    /// would previously have been swallowed silently.
-    pub rollback_delete_errors: usize,
-    /// Devices that died permanently mid-run (first `Gone` observed) and
-    /// were unplugged by the membership recovery path.
-    pub device_deaths: usize,
-    /// Buffers written off a dead device's hub bookkeeping without calling
-    /// into it (the corpse keeps no reachable state).
-    pub buffers_written_off: usize,
-    /// Bytes of input lost with a dead device that were re-staged onto
-    /// survivors from host copies during recovery.
-    pub restaged_bytes: u64,
-    /// Devices hot-added (through the health registry's `HalfOpen` probe
-    /// ramp) since the previous run.
-    pub hot_adds: usize,
-    /// Query checkpoints captured (pipeline-boundary + chunk-interval
-    /// snapshots the cost policy accepted).
-    pub checkpoints_taken: usize,
-    /// Payload bytes across all captured snapshots (host accumulations plus
-    /// retrieved breaker-accumulator copies).
-    pub checkpoint_bytes: u64,
-    /// Recoveries that resumed from a validated checkpoint instead of
-    /// restarting from row 0.
-    pub resumes: usize,
-    /// Streamed chunks a resume skipped re-executing (work the latest
-    /// checkpoint preserved).
-    pub chunks_skipped_on_resume: usize,
-    /// Recoveries that wanted to resume but found the latest checkpoint
-    /// failing validation (or impossible to restore) and degraded to a full
-    /// restart from row 0.
-    pub resume_validation_failures: usize,
-    /// Original graph nodes the fusion pass merged into fused nodes (stage
-    /// count summed over all fused chains).
-    pub nodes_fused: usize,
-    /// Fused chains the fusion pass created (one fused node each).
-    pub fused_chains: usize,
-    /// Bytes of non-breaker intermediate output buffers this run actually
-    /// materialized through the hub (sizing per
-    /// `DataContainer::estimate_output_bytes`, whole-mode per node, streaming
-    /// per chunk).
-    pub intermediate_bytes: u64,
-    /// Bytes of interior intermediates fused chains *avoided* materializing
-    /// — what the same run would have added to `intermediate_bytes` with
-    /// fusion off.
-    pub intermediates_elided_bytes: u64,
-    /// Modeled nanoseconds fused kernels saved over executing their stages
-    /// as individual launches (per-stage launch overhead plus undiscounted
-    /// bodies, minus the fused price).
-    pub fusion_saved_transfer_ns: f64,
-    /// Modeled duration of each interleavable slice of device time this run
-    /// produced, in execution order: one entry per streamed chunk, one per
-    /// whole-mode node. The multi-query scheduler replays these on the
-    /// shared timeline; not exported to JSON (unbounded length).
-    pub slice_ns: Vec<f64>,
-    /// Per-device health snapshot (breaker state, failure counts, current
-    /// placement penalty) at the end of this run, keyed by device name.
-    /// Deterministic ordering for reproducible reports.
-    pub device_health: BTreeMap<String, HealthSnapshot>,
-    /// Faults injected per device name during this run (only devices with a
-    /// non-zero count appear). Deterministic ordering for reproducible
-    /// reports.
-    pub device_faults: BTreeMap<String, u64>,
-    /// Real wall-clock nanoseconds of the simulated run.
-    pub wall_ns: u64,
+/// `run_counters!(all m)` hands every row to the macro `m`;
+/// `run_counters!(summed m)` hands on only the `sum` rows, without the
+/// kind. `sum` rows are additive: the scheduler adds them up over the
+/// queries it executes. `gauge` rows (a level at the end of a run such as
+/// `cache_pinned_bytes`, or a modeled time) are exported but never summed.
+///
+/// Adding a counter is one `sum` row here: the field, its JSON key, the
+/// scheduler aggregate and its fold all follow from it.
+#[macro_export]
+macro_rules! run_counters {
+    ($mode:ident $then:ident) => {
+        $crate::__select_counters! { $mode $then []
+            /// Bytes moved host→device.
+            sum bytes_h2d: u64 => "bytes_h2d";
+            /// Bytes moved device→host.
+            sum bytes_d2h: u64 => "bytes_d2h";
+            /// Number of chunks processed across all streaming pipelines.
+            sum chunks_processed: usize => "chunks";
+            /// Number of pipelines executed.
+            sum pipelines: usize => "pipelines";
+            /// Pipeline attempts that failed and were retried (any recovery kind).
+            sum retries: usize => "retries";
+            /// Retries where the streaming chunk size was halved after a device
+            /// out-of-memory error.
+            sum chunk_backoffs: usize => "chunk_backoffs";
+            /// Retries where a pipeline was re-placed onto a fallback device after
+            /// a persistent kernel failure or missing implementation.
+            sum fallback_placements: usize => "fallback_placements";
+            /// Chunk-size regrowths: the backed-off streaming chunk size was doubled
+            /// back toward the configured value after sustained success.
+            sum chunk_regrowths: usize => "chunk_regrowths";
+            /// Device circuit breakers tripped (`Closed → Open`, or a failed
+            /// `HalfOpen` probe re-opening) during this run.
+            sum breaker_trips: usize => "breaker_trips";
+            /// Times a quarantined device was skipped: pipelines moved off `Open`
+            /// devices at placement time plus hub transfers re-sourced away from
+            /// quarantined holders.
+            sum quarantine_skips: usize => "quarantine_skips";
+            /// `HalfOpen` probes that succeeded and restored a device to `Closed`.
+            sum probe_successes: usize => "probe_successes";
+            /// Per-`(device, kernel)` circuit breakers tripped during this run (a
+            /// kernel quarantined without quarantining its device).
+            sum kernel_breaker_trips: usize => "kernel_breaker_trips";
+            /// `HalfOpen` kernel probes that succeeded and restored a
+            /// `(device, kernel)` breaker to `Closed`.
+            sum kernel_probe_successes: usize => "kernel_probe_successes";
+            /// Runs aborted because the simulated-timeline deadline was exceeded.
+            sum deadline_aborts: usize => "deadline_aborts";
+            /// Chunk executions whose modeled duration overran the watchdog budget
+            /// (the cost model's fault-free expectation times the configured
+            /// multiplier).
+            sum watchdog_fires: usize => "watchdog_fires";
+            /// Hedged duplicate chunk executions launched on an alternate device
+            /// after a watchdog fired.
+            sum hedged_launches: usize => "hedged_launches";
+            /// Hedged duplicates that finished ahead of the straggling primary and
+            /// supplied the chunk's modeled completion time.
+            sum hedge_wins: usize => "hedge_wins";
+            /// Host↔device transfers retransmitted after an end-to-end checksum
+            /// mismatch (silent corruption caught and repaired by the hub).
+            sum corruption_retransmits: usize => "corruption_retransmits";
+            /// Inputs served from a cross-query residency-cache pin created by an
+            /// earlier run (first touch per run per `(device, input)`).
+            sum cache_hits: usize => "cache_hits";
+            /// First-touch residency-cache lookups that found no usable pin.
+            sum cache_misses: usize => "cache_misses";
+            /// Residency-cache entries evicted for budget or admission pressure.
+            sum cache_evictions: usize => "cache_evictions";
+            /// Residency-cache entries dropped by fault recovery or staleness.
+            sum cache_invalidations: usize => "cache_invalidations";
+            /// Bytes the residency cache holds pinned device-side after this run.
+            gauge cache_pinned_bytes: u64 => "cache_pinned_bytes";
+            /// Modeled host→device nanoseconds the residency cache avoided (whole
+            /// hits plus chunk stagings served device-internally).
+            gauge cache_saved_transfer_ns: f64 => "cache_saved_transfer_ns";
+            /// Rollback `delete_memory` failures that were *not* the tolerated
+            /// died-mid-allocation case — real double-free/accounting bugs that
+            /// would previously have been swallowed silently.
+            sum rollback_delete_errors: usize => "rollback_delete_errors";
+            /// Devices that died permanently mid-run (first `Gone` observed) and
+            /// were unplugged by the membership recovery path.
+            sum device_deaths: usize => "device_deaths";
+            /// Buffers written off a dead device's hub bookkeeping without calling
+            /// into it (the corpse keeps no reachable state).
+            sum buffers_written_off: usize => "buffers_written_off";
+            /// Bytes of input lost with a dead device that were re-staged onto
+            /// survivors from host copies during recovery.
+            sum restaged_bytes: u64 => "restaged_bytes";
+            /// Devices hot-added (through the health registry's `HalfOpen` probe
+            /// ramp) since the previous run.
+            sum hot_adds: usize => "hot_adds";
+            /// Query checkpoints captured (pipeline-boundary + chunk-interval
+            /// snapshots the cost policy accepted).
+            sum checkpoints_taken: usize => "checkpoints_taken";
+            /// Payload bytes across all captured snapshots (host accumulations plus
+            /// retrieved breaker-accumulator copies).
+            sum checkpoint_bytes: u64 => "checkpoint_bytes";
+            /// Recoveries that resumed from a validated checkpoint instead of
+            /// restarting from row 0.
+            sum resumes: usize => "resumes";
+            /// Streamed chunks a resume skipped re-executing (work the latest
+            /// checkpoint preserved).
+            sum chunks_skipped_on_resume: usize => "chunks_skipped_on_resume";
+            /// Recoveries that wanted to resume but found the latest checkpoint
+            /// failing validation (or impossible to restore) and degraded to a full
+            /// restart from row 0.
+            sum resume_validation_failures: usize => "resume_validation_failures";
+            /// Original graph nodes the fusion pass merged into fused nodes (stage
+            /// count summed over all fused chains).
+            sum nodes_fused: usize => "nodes_fused";
+            /// Fused chains the fusion pass created (one fused node each).
+            sum fused_chains: usize => "fused_chains";
+            /// Bytes of non-breaker intermediate output buffers this run actually
+            /// materialized through the hub (sizing per
+            /// `DataContainer::estimate_output_bytes`, whole-mode per node, streaming
+            /// per chunk).
+            sum intermediate_bytes: u64 => "intermediate_bytes";
+            /// Bytes of interior intermediates fused chains *avoided* materializing
+            /// — what the same run would have added to `intermediate_bytes` with
+            /// fusion off.
+            sum intermediates_elided_bytes: u64 => "intermediates_elided_bytes";
+            /// Modeled nanoseconds fused kernels saved over executing their stages
+            /// as individual launches (per-stage launch overhead plus undiscounted
+            /// bodies, minus the fused price).
+            gauge fusion_saved_transfer_ns: f64 => "fusion_saved_transfer_ns";
+        }
+    };
 }
+
+/// Row selection behind [`run_counters!`]; not part of the API.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __select_counters {
+    (all $then:ident [] $($rows:tt)*) => { $then! { $($rows)* } };
+    (summed $then:ident [$($acc:tt)*]) => { $then! { $($acc)* } };
+    (summed $then:ident [$($acc:tt)*]
+        $(#[$m:meta])* sum $field:ident: $ty:ty => $key:literal; $($rest:tt)*) => {
+        $crate::__select_counters! {
+            summed $then [$($acc)* $(#[$m])* $field: $ty => $key;] $($rest)*
+        }
+    };
+    (summed $then:ident [$($acc:tt)*]
+        $(#[$m:meta])* gauge $field:ident: $ty:ty => $key:literal; $($rest:tt)*) => {
+        $crate::__select_counters! { summed $then [$($acc)*] $($rest)* }
+    };
+}
+
+macro_rules! execution_stats {
+    ($($(#[$m:meta])* $kind:ident $field:ident: $ty:ty => $key:literal;)*) => {
+        /// Statistics of one query execution.
+        ///
+        /// All `*_ns` fields are **modeled** times from the device cost
+        /// models (deterministic, hardware-independent); `wall_ns` is the
+        /// real wall clock of the simulation itself. The scalar counters
+        /// come from [`crate::run_counters!`].
+        #[derive(Clone, Debug, Default)]
+        pub struct ExecutionStats {
+            /// Execution model name.
+            pub model: String,
+            /// Total modeled elapsed time (makespan under the model's overlap
+            /// policy). The y-axis of Fig. 11.
+            pub total_ns: f64,
+            /// Modeled time spent on transfers (serial sum, both directions).
+            pub transfer_ns: f64,
+            /// Modeled time spent in kernels (serial sum).
+            pub compute_ns: f64,
+            /// Modeled time in allocation/free/transform/compile operations.
+            pub other_ns: f64,
+            /// Modeled kernel time per node label (Fig. 10's "sum of processing
+            /// time of the individual primitives").
+            pub per_primitive_ns: BTreeMap<String, f64>,
+            /// Peak device-memory usage per device name (Fig. 7-right).
+            pub peak_device_bytes: BTreeMap<String, u64>,
+            /// Device-memory usage after each primitive execution, in order
+            /// (`(label, bytes)`), for the Fig. 7-right footprint trace.
+            pub memory_trace: Vec<(String, u64)>,
+            $($(#[$m])* pub $field: $ty,)*
+            /// Modeled duration of each interleavable slice of device time this run
+            /// produced, in execution order: one entry per streamed chunk, one per
+            /// whole-mode node. The multi-query scheduler replays these on the
+            /// shared timeline; not exported to JSON (unbounded length).
+            pub slice_ns: Vec<f64>,
+            /// Per-device health snapshot (breaker state, failure counts, current
+            /// placement penalty) at the end of this run, keyed by device name.
+            /// Deterministic ordering for reproducible reports.
+            pub device_health: BTreeMap<String, HealthSnapshot>,
+            /// Faults injected per device name during this run (only devices with a
+            /// non-zero count appear). Deterministic ordering for reproducible
+            /// reports.
+            pub device_faults: BTreeMap<String, u64>,
+            /// Real wall-clock nanoseconds of the simulated run.
+            pub wall_ns: u64,
+        }
+
+        impl ExecutionStats {
+            /// The table's counters as `(JSON key, rendered value)` pairs,
+            /// in export order.
+            fn counter_fields(&self) -> Vec<(&'static str, String)> {
+                vec![$(($key, JsonNumber::to_json(&self.$field)),)*]
+            }
+        }
+    };
+}
+
+run_counters!(all execution_stats);
 
 impl ExecutionStats {
     /// Sum of per-primitive kernel times.
@@ -193,126 +253,107 @@ impl ExecutionStats {
             .or_insert(0.0) += ns;
     }
 
-    /// Serializes the stats to a JSON object string (hand-rolled — the
-    /// experiment harness archives run records without a format crate).
+    /// Serializes the stats to a JSON object string through the workspace
+    /// JSON writer (deterministic except `wall_ns`).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\").replace('"', "\\\"")
-        }
-        let per_primitive: Vec<String> = self
-            .per_primitive_ns
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{:.1}", esc(k), v))
-            .collect();
-        let peaks: Vec<String> = self
-            .peak_device_bytes
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{v}", esc(k)))
-            .collect();
-        let faults: Vec<String> = self
-            .device_faults
-            .iter()
-            .map(|(k, v)| format!("\"{}\":{v}", esc(k)))
-            .collect();
-        let health: Vec<String> = self
-            .device_health
-            .iter()
-            .map(|(k, h)| {
-                format!(
-                    "\"{}\":{{\"state\":\"{}\",\"kernel_failures\":{},\"ooms\":{},\
-                     \"retry_penalty_ns\":{:.1},\"open_kernels\":{},\
-                     \"latency_overruns\":{},\"corruptions\":{}}}",
-                    esc(k),
-                    h.state.label(),
-                    h.kernel_failures,
-                    h.ooms,
-                    h.retry_penalty_ns,
-                    h.open_kernels,
-                    h.latency_overruns,
-                    h.corruptions,
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"model\":\"{}\",\"total_ns\":{:.1},\"transfer_ns\":{:.1},",
-                "\"compute_ns\":{:.1},\"other_ns\":{:.1},\"overhead_ns\":{:.1},",
-                "\"bytes_h2d\":{},\"bytes_d2h\":{},\"chunks\":{},\"pipelines\":{},",
-                "\"retries\":{},\"chunk_backoffs\":{},\"fallback_placements\":{},",
-                "\"chunk_regrowths\":{},\"breaker_trips\":{},\"quarantine_skips\":{},",
-                "\"probe_successes\":{},\"kernel_breaker_trips\":{},",
-                "\"kernel_probe_successes\":{},\"deadline_aborts\":{},",
-                "\"watchdog_fires\":{},\"hedged_launches\":{},\"hedge_wins\":{},",
-                "\"corruption_retransmits\":{},",
-                "\"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},",
-                "\"cache_invalidations\":{},\"cache_pinned_bytes\":{},",
-                "\"cache_saved_transfer_ns\":{:.1},\"rollback_delete_errors\":{},",
-                "\"device_deaths\":{},\"buffers_written_off\":{},",
-                "\"restaged_bytes\":{},\"hot_adds\":{},",
-                "\"checkpoints_taken\":{},\"checkpoint_bytes\":{},\"resumes\":{},",
-                "\"chunks_skipped_on_resume\":{},\"resume_validation_failures\":{},",
-                "\"nodes_fused\":{},\"fused_chains\":{},\"intermediate_bytes\":{},",
-                "\"intermediates_elided_bytes\":{},\"fusion_saved_transfer_ns\":{:.1},",
-                "\"wall_ns\":{},\"per_primitive_ns\":{{{}}},\"peak_device_bytes\":{{{}}},",
-                "\"device_faults\":{{{}}},\"device_health\":{{{}}}}}"
+        let mut fields = vec![
+            ("model", jstr(&self.model)),
+            ("total_ns", jnum(self.total_ns)),
+            ("transfer_ns", jnum(self.transfer_ns)),
+            ("compute_ns", jnum(self.compute_ns)),
+            ("other_ns", jnum(self.other_ns)),
+            ("overhead_ns", jnum(self.overhead_ns())),
+        ];
+        fields.extend(self.counter_fields());
+        fields.extend([
+            ("wall_ns", self.wall_ns.to_string()),
+            (
+                "per_primitive_ns",
+                jmap(&self.per_primitive_ns, |v| jnum(*v)),
             ),
-            esc(&self.model),
-            self.total_ns,
-            self.transfer_ns,
-            self.compute_ns,
-            self.other_ns,
-            self.overhead_ns(),
-            self.bytes_h2d,
-            self.bytes_d2h,
-            self.chunks_processed,
-            self.pipelines,
-            self.retries,
-            self.chunk_backoffs,
-            self.fallback_placements,
-            self.chunk_regrowths,
-            self.breaker_trips,
-            self.quarantine_skips,
-            self.probe_successes,
-            self.kernel_breaker_trips,
-            self.kernel_probe_successes,
-            self.deadline_aborts,
-            self.watchdog_fires,
-            self.hedged_launches,
-            self.hedge_wins,
-            self.corruption_retransmits,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.cache_invalidations,
-            self.cache_pinned_bytes,
-            self.cache_saved_transfer_ns,
-            self.rollback_delete_errors,
-            self.device_deaths,
-            self.buffers_written_off,
-            self.restaged_bytes,
-            self.hot_adds,
-            self.checkpoints_taken,
-            self.checkpoint_bytes,
-            self.resumes,
-            self.chunks_skipped_on_resume,
-            self.resume_validation_failures,
-            self.nodes_fused,
-            self.fused_chains,
-            self.intermediate_bytes,
-            self.intermediates_elided_bytes,
-            self.fusion_saved_transfer_ns,
-            self.wall_ns,
-            per_primitive.join(","),
-            peaks.join(","),
-            faults.join(","),
-            health.join(","),
-        )
+            (
+                "peak_device_bytes",
+                jmap(&self.peak_device_bytes, u64::to_string),
+            ),
+            ("device_faults", jmap(&self.device_faults, u64::to_string)),
+            (
+                "device_health",
+                jmap(&self.device_health, |h| {
+                    jobj(&[
+                        ("state", jstr(h.state.label())),
+                        ("kernel_failures", h.kernel_failures.to_string()),
+                        ("ooms", h.ooms.to_string()),
+                        ("retry_penalty_ns", jnum(h.retry_penalty_ns)),
+                        ("open_kernels", h.open_kernels.to_string()),
+                        ("latency_overruns", h.latency_overruns.to_string()),
+                        ("corruptions", h.corruptions.to_string()),
+                    ])
+                }),
+            ),
+        ]);
+        jobj(&fields)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    macro_rules! number_counters {
+        ($($(#[$m:meta])* $kind:ident $field:ident: $ty:ty => $key:literal;)*) => {
+            /// Sets the table's counters to 1, 2, 3, … in export order.
+            fn number_counters(s: &mut ExecutionStats) {
+                let mut n = 0u32;
+                $(n += 1; s.$field = n as $ty;)*
+            }
+        };
+    }
+    run_counters!(all number_counters);
+
+    /// Every field set, so the golden string pins the whole export format.
+    fn golden_fixture() -> ExecutionStats {
+        use adamant_device::health::BreakerState;
+        let mut s = ExecutionStats {
+            model: "four \"phase\" \\ model".into(),
+            total_ns: 1_234_567.89,
+            transfer_ns: 400_000.25,
+            compute_ns: 600_000.5,
+            other_ns: 12_345.75,
+            per_primitive_ns: BTreeMap::from([
+                ("agg".to_string(), 1_000.04),
+                ("filter \"x\"".to_string(), 250.5),
+            ]),
+            peak_device_bytes: BTreeMap::from([
+                ("cpu".to_string(), 64),
+                ("gpu0".to_string(), 2048),
+            ]),
+            memory_trace: vec![("filter".to_string(), 128)],
+            slice_ns: vec![1.0, 2.0],
+            device_health: BTreeMap::from([(
+                "gpu0".to_string(),
+                HealthSnapshot {
+                    state: BreakerState::SlowOpen { cooldown_left: 2 },
+                    kernel_failures: 2,
+                    ooms: 1,
+                    retry_penalty_ns: 123.45,
+                    open_kernels: 1,
+                    latency_overruns: 6,
+                    corruptions: 7,
+                },
+            )]),
+            device_faults: BTreeMap::from([("gpu0".to_string(), 5)]),
+            wall_ns: 36,
+            ..Default::default()
+        };
+        number_counters(&mut s);
+        s
+    }
+
+    #[test]
+    fn json_export_matches_golden() {
+        let golden = r#"{"model":"four \"phase\" \\ model","total_ns":1234567.9,"transfer_ns":400000.2,"compute_ns":600000.5,"other_ns":12345.8,"overhead_ns":1233317.3,"bytes_h2d":1,"bytes_d2h":2,"chunks":3,"pipelines":4,"retries":5,"chunk_backoffs":6,"fallback_placements":7,"chunk_regrowths":8,"breaker_trips":9,"quarantine_skips":10,"probe_successes":11,"kernel_breaker_trips":12,"kernel_probe_successes":13,"deadline_aborts":14,"watchdog_fires":15,"hedged_launches":16,"hedge_wins":17,"corruption_retransmits":18,"cache_hits":19,"cache_misses":20,"cache_evictions":21,"cache_invalidations":22,"cache_pinned_bytes":23,"cache_saved_transfer_ns":24.0,"rollback_delete_errors":25,"device_deaths":26,"buffers_written_off":27,"restaged_bytes":28,"hot_adds":29,"checkpoints_taken":30,"checkpoint_bytes":31,"resumes":32,"chunks_skipped_on_resume":33,"resume_validation_failures":34,"nodes_fused":35,"fused_chains":36,"intermediate_bytes":37,"intermediates_elided_bytes":38,"fusion_saved_transfer_ns":39.0,"wall_ns":36,"per_primitive_ns":{"agg":1000.0,"filter \"x\"":250.5},"peak_device_bytes":{"cpu":64,"gpu0":2048},"device_faults":{"gpu0":5},"device_health":{"gpu0":{"state":"slow-open","kernel_failures":2,"ooms":1,"retry_penalty_ns":123.5,"open_kernels":1,"latency_overruns":6,"corruptions":7}}}"#;
+        assert_eq!(golden_fixture().to_json(), golden);
+    }
 
     #[test]
     fn overhead_math() {
@@ -456,6 +497,9 @@ mod tests {
         ));
         // Quotes in labels are escaped.
         assert!(json.contains("filter \\\"x\\\""));
+        // Control characters in labels are escaped too.
+        s.record_primitive("line\nbreak\u{1}", 1.0);
+        assert!(s.to_json().contains("\"line\\nbreak\\u0001\":1.0"));
         // Balanced braces.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

@@ -7,6 +7,7 @@
 //! `retrieve_data` — the runtime never reaches around the interface.
 
 use crate::sdk::SdkRepr;
+use adamant_storage::fnv::{fnv1a_extend, FNV_OFFSET};
 use std::any::Any;
 use std::fmt;
 
@@ -226,41 +227,19 @@ impl BufferData {
     /// byte length) only — opaque structures are built *on* the device, never
     /// shipped over the simulated bus, so their content never transits.
     pub fn checksum(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut eat = |b: u8| h = (h ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        let h = FNV_OFFSET;
         match self {
-            BufferData::I64(v) => {
-                for x in v {
-                    x.to_le_bytes().iter().for_each(|&b| eat(b));
-                }
-            }
-            BufferData::F64(v) => {
-                for x in v {
-                    x.to_le_bytes().iter().for_each(|&b| eat(b));
-                }
-            }
-            BufferData::U32(v) => {
-                for x in v {
-                    x.to_le_bytes().iter().for_each(|&b| eat(b));
-                }
-            }
-            BufferData::BitWords(v) => {
-                for x in v {
-                    x.to_le_bytes().iter().for_each(|&b| eat(b));
-                }
-            }
-            BufferData::Raw(v) => v.iter().for_each(|&b| eat(b)),
+            BufferData::I64(v) => v.iter().fold(h, |h, x| fnv1a_extend(h, &x.to_le_bytes())),
+            BufferData::F64(v) => v.iter().fold(h, |h, x| fnv1a_extend(h, &x.to_le_bytes())),
+            BufferData::U32(v) => v.iter().fold(h, |h, x| fnv1a_extend(h, &x.to_le_bytes())),
+            BufferData::BitWords(v) => v.iter().fold(h, |h, x| fnv1a_extend(h, &x.to_le_bytes())),
+            BufferData::Raw(v) => fnv1a_extend(h, v),
             BufferData::Generic(g) => {
-                for &b in b"generic" {
-                    eat(b);
-                }
-                (g.len() as u64).to_le_bytes().iter().for_each(|&b| eat(b));
-                g.byte_len().to_le_bytes().iter().for_each(|&b| eat(b));
+                let h = fnv1a_extend(h, b"generic");
+                let h = fnv1a_extend(h, &(g.len() as u64).to_le_bytes());
+                fnv1a_extend(h, &g.byte_len().to_le_bytes())
             }
         }
-        h
     }
 
     /// Flips the low bit of the element at `element % len` (fault injection:
@@ -334,6 +313,26 @@ mod tests {
         let e = d.empty_like(10);
         assert_eq!(e.kind(), "u32");
         assert!(e.is_empty());
+    }
+
+    #[test]
+    fn checksums_match_fixed_values() {
+        let cases = [
+            (
+                BufferData::I64(vec![1, -2, 3_000_000_000, i64::MIN]),
+                0x31af_0120_d724_a409,
+            ),
+            (BufferData::F64(vec![0.5, -1.25]), 0x2760_67d4_e555_1091),
+            (BufferData::U32(vec![7, u32::MAX]), 0x29a2_251b_da36_66be),
+            (
+                BufferData::BitWords(vec![0xdead_beef]),
+                0x7513_fc78_a110_e05b,
+            ),
+            (BufferData::Raw(b"adamant".to_vec()), 0x41f4_5a7e_027d_ad33),
+        ];
+        for (data, want) in cases {
+            assert_eq!(data.checksum(), want, "{:?}", data.kind());
+        }
     }
 
     #[test]

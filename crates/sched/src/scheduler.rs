@@ -835,7 +835,7 @@ impl<'e> QueryScheduler<'e> {
         );
         match run {
             Ok((output, stats)) => {
-                self.absorb_robustness_counters(&stats);
+                self.stats.absorb(&stats);
                 let slices: VecDeque<f64> = if stats.slice_ns.is_empty() {
                     VecDeque::from([stats.total_ns])
                 } else {
@@ -858,35 +858,16 @@ impl<'e> QueryScheduler<'e> {
                 }))
             }
             Err(e) => {
-                // The failed run's counters still describe real watchdog and
-                // retransmit activity; the executor keeps them around.
+                // The failed run's counters still describe real activity
+                // (watchdogs, retransmits, retries); the executor keeps them.
                 if let Some(s) = self.executor.last_run_stats() {
-                    let s = s.clone();
-                    self.absorb_robustness_counters(&s);
+                    self.stats.absorb(s);
                 }
                 self.ledger.release(self.executor, entry.ticket);
                 self.fail(tenant, entry.ticket, e, outcomes);
                 Admit::Resolved
             }
         }
-    }
-
-    /// Folds one executed query's straggler/corruption counters into the
-    /// scheduler-level aggregates.
-    fn absorb_robustness_counters(&mut self, stats: &ExecutionStats) {
-        self.stats.watchdog_fires += stats.watchdog_fires as u64;
-        self.stats.hedged_launches += stats.hedged_launches as u64;
-        self.stats.hedge_wins += stats.hedge_wins as u64;
-        self.stats.corruption_retransmits += stats.corruption_retransmits as u64;
-        self.stats.device_deaths += stats.device_deaths as u64;
-        self.stats.buffers_written_off += stats.buffers_written_off as u64;
-        self.stats.restaged_bytes += stats.restaged_bytes;
-        self.stats.hot_adds += stats.hot_adds as u64;
-        self.stats.checkpoints_taken += stats.checkpoints_taken as u64;
-        self.stats.checkpoint_bytes += stats.checkpoint_bytes;
-        self.stats.resumes += stats.resumes as u64;
-        self.stats.chunks_skipped_on_resume += stats.chunks_skipped_on_resume as u64;
-        self.stats.resume_validation_failures += stats.resume_validation_failures as u64;
     }
 
     /// Picks the target device: the pin, the spec's policy under its

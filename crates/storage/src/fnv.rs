@@ -4,6 +4,10 @@
 //! deterministic integer hash; the std `SipHash` default is unnecessarily
 //! slow there, and the usual `rustc-hash` crate is not on the allowed
 //! dependency list, so we ship a ~40-line FNV-1a implementation.
+//!
+//! [`fnv1a_extend`] is the workspace's only FNV-1a: the hash tables, the
+//! hub's transfer checksums, residency fingerprints and checkpoint seals
+//! all go through it.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -12,8 +16,21 @@ use std::hash::{BuildHasherDefault, Hasher};
 #[derive(Clone, Copy, Debug)]
 pub struct FnvHasher(u64);
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis: the state of a hash that has seen no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds `bytes` into the FNV-1a state `h` (start from [`FNV_OFFSET`]).
+/// Hashing a value in pieces gives the same result as hashing all of its
+/// bytes at once.
+#[inline]
+pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
 
 impl Default for FnvHasher {
     fn default() -> Self {
@@ -29,12 +46,7 @@ impl Hasher for FnvHasher {
 
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        self.0 = h;
+        self.0 = fnv1a_extend(self.0, bytes);
     }
 
     #[inline]
@@ -57,17 +69,22 @@ pub type FnvHashSet<K> = HashSet<K, BuildHasherDefault<FnvHasher>>;
 /// the device kernels, which never go through `Hasher`).
 #[inline]
 pub fn fnv1a_i64(v: i64) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in &v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a_extend(FNV_OFFSET, &v.to_le_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn known_answers() {
+        assert_eq!(fnv1a_extend(FNV_OFFSET, b""), FNV_OFFSET);
+        assert_eq!(fnv1a_extend(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            fnv1a_extend(fnv1a_extend(FNV_OFFSET, b"ada"), b"mant"),
+            fnv1a_extend(FNV_OFFSET, b"adamant")
+        );
+    }
 
     #[test]
     fn deterministic() {

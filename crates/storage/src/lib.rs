@@ -30,6 +30,7 @@ pub mod column;
 pub mod datatype;
 pub mod error;
 pub mod fnv;
+pub mod json;
 pub mod position;
 pub mod rng;
 pub mod table;

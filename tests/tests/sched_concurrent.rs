@@ -379,3 +379,69 @@ fn oversized_footprint_is_rejected_not_queued_forever() {
     assert_eq!(out.i64_column("sum")[0], expected_sum(&data, 0, 2));
     assert_eq!(report.stats().rejected_capacity, 1);
 }
+
+// One assertion per `sum` row of the run-counter table, so a counter added
+// to the table is covered here without touching this file.
+macro_rules! assert_counters_conserved {
+    ($($(#[$m:meta])* $field:ident: $ty:ty => $key:literal;)*) => {
+        fn assert_counters_conserved(sched: &SchedulerStats, runs: &[&ExecutionStats]) {
+            $(
+                let sum: u64 = runs.iter().map(|s| s.$field as u64).sum();
+                assert_eq!(sched.$field, sum, "scheduler `{}` != Σ per-query", $key);
+            )*
+        }
+    };
+}
+adamant::core::run_counters!(summed assert_counters_conserved);
+
+/// Every additive run counter the scheduler reports equals the sum of the
+/// per-query `ExecutionStats` of the queries it completed — fusion, cache,
+/// straggler and retry counters included.
+#[test]
+fn scheduler_counters_sum_the_completed_queries() {
+    let data = test_data(3_000);
+    let mut engine = Adamant::builder()
+        .chunk_rows(100)
+        .device(DeviceProfile::cuda_rtx2080ti())
+        .device(DeviceProfile::opencl_cpu_i7())
+        .fault_plan(0, FaultPlan::none().slowdown(2.0))
+        .watchdog_multiplier(1.5)
+        .residency_cache(ResidencyConfig::new(1 << 20))
+        .build()
+        .unwrap();
+    let gpu = engine.device_ids()[0];
+    let mut inputs = QueryInputs::new();
+    inputs.bind("x", data.clone());
+
+    let mut session = engine.session();
+    session.tenant("heavy", 2.0).tenant("light", 1.0);
+    let mut tickets = Vec::new();
+    for _ in 0..3 {
+        for tenant in ["heavy", "light"] {
+            let spec = QuerySpec::new(
+                filter_map_sum(gpu, -100, 2),
+                inputs.clone(),
+                ExecutionModel::Chunked,
+            );
+            tickets.push(session.submit(tenant, spec));
+        }
+    }
+    let report = session.run_all();
+    let runs: Vec<&ExecutionStats> = tickets
+        .iter()
+        .map(|&t| match report.outcome(t) {
+            Some(QueryOutcome::Completed { output, stats, .. }) => {
+                assert_eq!(output.i64_column("sum")[0], expected_sum(&data, -100, 2));
+                &**stats
+            }
+            other => panic!("query {t:?} did not complete: {other:?}"),
+        })
+        .collect();
+
+    let stats = report.stats();
+    assert_counters_conserved(stats, &runs);
+    // The batch exercises fusion, residency-cache and straggler counters.
+    assert!(stats.fused_chains >= 1 && stats.nodes_fused >= 2);
+    assert!(stats.cache_hits >= 1 && stats.cache_misses >= 1);
+    assert!(stats.watchdog_fires >= 1 && stats.chunks_processed >= 1);
+}
