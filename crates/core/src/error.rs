@@ -143,6 +143,75 @@ impl From<StorageError> for ExecError {
     }
 }
 
+impl ExecError {
+    /// The device a permanent-death (`Gone`) error names, whether it
+    /// surfaced bare from a hub transfer/allocation or wrapped in a kernel
+    /// failure — the trigger for run-level membership recovery.
+    pub(crate) fn gone_device(&self) -> Option<DeviceId> {
+        match self {
+            ExecError::Device(DeviceError::Gone { device })
+            | ExecError::KernelFailed {
+                source: DeviceError::Gone { device },
+                ..
+            } => Some(*device),
+            _ => None,
+        }
+    }
+}
+
+/// What a failed pipeline attempt tells the executor's recovery loop: which
+/// health record it feeds, whether it evicts residency pins on the
+/// attempt's devices, and the next step.
+///
+/// | class     | health record   | evicts pins        | next step                    |
+/// |-----------|-----------------|--------------------|------------------------------|
+/// | `Oom`     | OOM             | yes                | halve the chunk, retry       |
+/// | `Kernel`  | kernel failure  | if device tripped  | retry; re-place on the 2nd   |
+/// | `Corrupt` | corruption      | yes                | re-place                     |
+/// | `NoImpl`  | —               | no                 | re-place                     |
+/// | `Fatal`   | —               | no                 | fail                         |
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum FailureClass<'e> {
+    /// Device or kernel out of memory (regular or pinned); the device when
+    /// the error names one.
+    Oom(Option<DeviceId>),
+    /// A kernel failed on `device`.
+    Kernel { device: DeviceId, kernel: &'e str },
+    /// Transfers to this device failed verification through the whole
+    /// retransmit budget.
+    Corrupt(DeviceId),
+    /// A node's primitive has no implementation on its device's SDK.
+    NoImpl,
+    /// Retrying cannot help: invalid graphs, missing inputs, deadlines,
+    /// cancellation, internal errors — and device deaths, which run-level
+    /// recovery handles before this table is consulted.
+    Fatal,
+}
+
+/// Classifies a failed attempt's error (pure; see [`FailureClass`]).
+pub(crate) fn classify(err: &ExecError) -> FailureClass<'_> {
+    use DeviceError::{Gone, OutOfMemory, OutOfPinnedMemory};
+    match err {
+        ExecError::Device(OutOfMemory { .. } | OutOfPinnedMemory { .. }) => FailureClass::Oom(None),
+        ExecError::KernelFailed {
+            device,
+            source: OutOfMemory { .. } | OutOfPinnedMemory { .. },
+            ..
+        } => FailureClass::Oom(Some(*device)),
+        ExecError::KernelFailed {
+            source: Gone { .. },
+            ..
+        } => FailureClass::Fatal,
+        ExecError::KernelFailed { device, kernel, .. } => FailureClass::Kernel {
+            device: *device,
+            kernel,
+        },
+        ExecError::TransferCorrupted { device, .. } => FailureClass::Corrupt(*device),
+        ExecError::NoImplementation { .. } => FailureClass::NoImpl,
+        _ => FailureClass::Fatal,
+    }
+}
+
 /// Shorthand result alias for runtime operations.
 pub type Result<T> = std::result::Result<T, ExecError>;
 
@@ -183,5 +252,110 @@ mod tests {
             e,
             ExecError::Device(DeviceError::OutOfMemory { .. })
         ));
+    }
+
+    /// The recovery table over every `ExecError` variant (and every
+    /// `DeviceError` a failure can wrap that changes the class).
+    #[test]
+    fn classify_covers_every_error_variant() {
+        use FailureClass::*;
+        let (d0, d1) = (DeviceId(0), DeviceId(1));
+        let oom = DeviceError::OutOfMemory {
+            requested: 10,
+            available: 5,
+            capacity: 100,
+        };
+        let pinned_oom = DeviceError::OutOfPinnedMemory {
+            requested: 10,
+            available: 5,
+        };
+        let gone = DeviceError::Gone { device: d1 };
+        let kernel = |source| ExecError::KernelFailed {
+            device: d1,
+            kernel: "agg_block".into(),
+            source,
+        };
+        let table: Vec<(ExecError, FailureClass, Option<DeviceId>)> = vec![
+            (ExecError::Device(oom.clone()), Oom(None), None),
+            (ExecError::Device(pinned_oom.clone()), Oom(None), None),
+            (ExecError::Device(gone.clone()), Fatal, Some(d1)),
+            (ExecError::Device(DeviceError::NotInitialized), Fatal, None),
+            (kernel(oom), Oom(Some(d1)), None),
+            (kernel(pinned_oom), Oom(Some(d1)), None),
+            (kernel(gone), Fatal, Some(d1)),
+            (
+                kernel(DeviceError::KernelNotFound("k".into())),
+                Kernel {
+                    device: d1,
+                    kernel: "agg_block",
+                },
+                None,
+            ),
+            (
+                ExecError::Storage(StorageError::TableNotFound("t".into())),
+                Fatal,
+                None,
+            ),
+            (ExecError::InvalidGraph("g".into()), Fatal, None),
+            (
+                ExecError::NoImplementation {
+                    primitive: "map".into(),
+                    sdk: "cuda".into(),
+                    variant: "default".into(),
+                },
+                NoImpl,
+                None,
+            ),
+            (ExecError::MissingInput("x".into()), Fatal, None),
+            (
+                ExecError::InputLengthMismatch {
+                    scan: "s".into(),
+                    expected: 1,
+                    actual: 2,
+                },
+                Fatal,
+                None,
+            ),
+            (
+                ExecError::DeadlineExceeded {
+                    budget_ns: 1.0,
+                    spent_ns: 2.0,
+                },
+                Fatal,
+                None,
+            ),
+            (ExecError::Cancelled, Fatal, None),
+            (
+                ExecError::TransferCorrupted {
+                    device: d0,
+                    buffer: adamant_device::buffer::BufferId(7),
+                },
+                Corrupt(d0),
+                None,
+            ),
+            (ExecError::Internal("bug".into()), Fatal, None),
+        ];
+        for (err, class, gone) in &table {
+            assert_eq!(classify(err), *class, "{err}");
+            assert_eq!(err.gone_device(), *gone, "{err}");
+        }
+        // Exhaustive on purpose: a new variant fails to compile here until
+        // it has a row above.
+        let covered = |e: &ExecError| match e {
+            ExecError::Device(_)
+            | ExecError::KernelFailed { .. }
+            | ExecError::Storage(_)
+            | ExecError::InvalidGraph(_)
+            | ExecError::NoImplementation { .. }
+            | ExecError::MissingInput(_)
+            | ExecError::InputLengthMismatch { .. }
+            | ExecError::DeadlineExceeded { .. }
+            | ExecError::Cancelled
+            | ExecError::TransferCorrupted { .. }
+            | ExecError::Internal(_) => std::mem::discriminant(e),
+        };
+        let variants: std::collections::HashSet<_> =
+            table.iter().map(|(e, _, _)| covered(e)).collect();
+        assert_eq!(variants.len(), 11, "every ExecError variant has a row");
     }
 }

@@ -9,7 +9,7 @@
 //! by `fetched_until`/`processed_until` counters (Algorithm 2).
 
 use crate::checkpoint::{CheckpointConfig, QueryCheckpoint};
-use crate::error::{ExecError, Result};
+use crate::error::{classify, ExecError, FailureClass, Result};
 use crate::graph::{DataRef, NodeId, PrimitiveGraph, PrimitiveNode};
 use crate::hub::{DataTransferHub, HostAccum};
 use crate::models::{ExecutionModel, ModelConfig};
@@ -88,6 +88,8 @@ impl Default for ExecutorConfig {
 /// * a kernel that fails twice in a row on the same device → the
 ///   pipeline's nodes on that device are re-placed onto another device
 ///   with the primitive installed;
+/// * a transfer that fails checksum verification through the whole
+///   retransmit budget → immediate re-placement;
 /// * a missing implementation → immediate re-placement (or the original
 ///   error when no capable device exists).
 #[derive(Clone, Copy, Debug)]
@@ -95,8 +97,6 @@ pub struct RetryPolicy {
     /// Total attempts per pipeline, including the first (so 1 disables
     /// recovery entirely).
     pub max_attempts: usize,
-    /// Whether pipelines may be re-placed onto a fallback device.
-    pub allow_fallback: bool,
     /// Smallest chunk size the out-of-memory backoff will reach.
     pub min_chunk_rows: usize,
     /// After this many consecutive successful chunks at a backed-off size,
@@ -109,7 +109,6 @@ impl Default for RetryPolicy {
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 4,
-            allow_fallback: true,
             min_chunk_rows: 1,
             regrow_after_chunks: 4,
         }
@@ -141,33 +140,6 @@ impl CancelToken {
     /// Whether cancellation has been requested.
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
-    }
-}
-
-/// Per-run deadline + cancellation bundle threaded through the execution
-/// loops.
-struct RunControl {
-    deadline_ns: Option<f64>,
-    cancel: CancelToken,
-}
-
-impl RunControl {
-    /// Cooperative check: called between chunks, between whole-mode nodes
-    /// and before each recovery attempt, with the modeled time spent so far.
-    fn check(&self, spent_ns: f64, stats: &mut ExecutionStats) -> Result<()> {
-        if self.cancel.is_cancelled() {
-            return Err(ExecError::Cancelled);
-        }
-        if let Some(budget_ns) = self.deadline_ns {
-            if spent_ns > budget_ns {
-                stats.deadline_aborts += 1;
-                return Err(ExecError::DeadlineExceeded {
-                    budget_ns,
-                    spent_ns,
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -532,27 +504,38 @@ impl Executor {
             fault_base.insert(id, dev.fault_counters().total());
         }
 
-        let cfg = model.config();
-        let mut hub = DataTransferHub::new();
+        let mut run = RunState {
+            inputs,
+            cfg: model.config(),
+            hub: DataTransferHub::new(),
+            stats: ExecutionStats {
+                model: model.name().to_string(),
+                pipelines: pipelines.len(),
+                hot_adds: std::mem::take(&mut self.pending_hot_adds),
+                nodes_fused: fusion_report.nodes_fused,
+                fused_chains: fusion_report.fused_chains,
+                ..Default::default()
+            },
+            serial_ns: 0.0,
+            overlap_ns: 0.0,
+            escaping: escaping_refs(&graph, &pipelines),
+            deadline_ns,
+            cancel: cancel.clone(),
+            ckpt: CheckpointState::new(self.config.checkpoints),
+            fault_base,
+        };
         // The hub verifies every host↔device transfer end-to-end; a corrupted
         // transfer gets as many retransmissions as the retry policy grants
         // attempts before the error surfaces to the recovery loop.
-        hub.set_retransmit_budget(
+        run.hub.set_retransmit_budget(
             u32::try_from(self.config.retry.max_attempts).unwrap_or(u32::MAX),
         );
-        let mut stats = ExecutionStats {
-            model: model.name().to_string(),
-            pipelines: pipelines.len(),
-            hot_adds: std::mem::take(&mut self.pending_hot_adds),
-            nodes_fused: fusion_report.nodes_fused,
-            fused_chains: fusion_report.fused_chains,
-            ..Default::default()
-        };
         // Health-aware placement repair: move pipelines off quarantined
         // devices, admit at most one half-open probe, and tell the hub which
         // devices to avoid as transfer sources.
-        self.apply_health_placement(&mut graph, &pipelines, &mut stats);
-        hub.set_quarantined(self.health.quarantined_ids().into_iter().collect());
+        self.apply_health_placement(&mut graph, &pipelines, &mut run.stats);
+        run.hub
+            .set_quarantined(self.health.quarantined_ids().into_iter().collect());
         // Lend the cross-query residency cache to this run's hub. Pins on
         // quarantined devices are invalidated up front — a tripped device's
         // contents are not trusted, and holding the pins would leak their
@@ -561,14 +544,8 @@ impl Executor {
             for dev in self.health.quarantined_ids() {
                 cache.invalidate_device(&mut self.devices, dev);
             }
-            hub.install_cache(cache);
+            run.hub.install_cache(cache);
         }
-        let control = RunControl {
-            deadline_ns,
-            cancel: cancel.clone(),
-        };
-        let mut tally = Tally::default();
-        let escaping = escaping_refs(&graph, &pipelines);
 
         // Graph-level restart loop: a permanent device death (`Gone`)
         // unwinds the whole run — the corpse's buffers are written off, the
@@ -579,68 +556,42 @@ impl Executor {
         // restart retires exactly one device, so the loop still terminates,
         // but devices hot-added via `attach_device` since the run began
         // extend the budget instead of being silently ignored.
-        let mut ckpt = CheckpointState::new(self.config.checkpoints);
         let mut restarts_left = self.devices.len();
         let run_result = loop {
             let attempt = (|| -> Result<QueryOutput> {
-                let cursor = ckpt.cursor.take();
+                let cursor = run.ckpt.cursor.take();
                 let skip = cursor.as_ref().map_or(0, |c| c.pipelines_done);
-                for (pi, pipeline) in pipelines.pipelines.iter().enumerate() {
-                    if pi < skip {
-                        continue;
-                    }
+                for (pi, pipeline) in pipelines.pipelines.iter().enumerate().skip(skip) {
                     let resume = cursor
                         .as_ref()
                         .filter(|c| pi == skip && c.resume_offset > 0);
-                    self.run_pipeline_with_recovery(
-                        &mut graph, pipeline, inputs, cfg, &mut hub, &mut stats, &mut tally,
-                        &escaping, &control, &mut ckpt, resume,
-                    )?;
-                    ckpt.pipelines_done = pi + 1;
+                    self.run_pipeline_with_recovery(&mut graph, pipeline, &mut run, resume)?;
+                    run.ckpt.pipelines_done = pi + 1;
                     // Pipeline-breaker boundary: always a considered capture
                     // site; the cost policy decides whether to snapshot.
-                    self.maybe_capture_checkpoint(&mut hub, &mut stats, &mut tally, &mut ckpt, 0)?;
+                    self.maybe_capture_checkpoint(&mut run, 0)?;
                 }
-                self.collect_outputs(&graph, &mut hub, &mut stats, &mut tally)
+                self.collect_outputs(&graph, &mut run)
             })();
-            match attempt {
-                Err(err) if gone_device(&err).is_some() && restarts_left > 0 => {
-                    let dead = gone_device(&err).expect("checked above");
-                    match self.handle_device_loss(
-                        dead,
-                        &mut graph,
-                        &pipelines,
-                        &mut hub,
-                        &mut stats,
-                        &mut fault_base,
-                        &mut tally,
-                        &mut ckpt,
-                    ) {
-                        Ok(()) => {
-                            restarts_left = self.devices.len();
-                            continue;
-                        }
-                        Err(e) => break Err(e),
-                    }
-                }
-                other => break other,
+            let dead = match &attempt {
+                Err(err) if restarts_left > 0 => err.gone_device(),
+                _ => None,
+            };
+            let Some(dead) = dead else {
+                break attempt;
+            };
+            if let Err(e) = self.handle_device_loss(dead, &mut graph, &pipelines, &mut run) {
+                break Err(e);
             }
+            restarts_left = self.devices.len();
         };
 
         // Peaks, byte counts and per-run fault deltas before cleanup.
         for id in self.devices.ids() {
-            let dev = self.devices.get(id)?;
-            stats
-                .peak_device_bytes
-                .insert(dev.info().name.clone(), dev.pool().peak());
-            stats.bytes_h2d += dev.clock().bytes_h2d();
-            stats.bytes_d2h += dev.clock().bytes_d2h();
-            let base = fault_base.get(&id).copied().unwrap_or(0);
-            let delta = dev.fault_counters().total().saturating_sub(base);
-            if delta > 0 {
-                stats.device_faults.insert(dev.info().name.clone(), delta);
-            }
+            run.fold_device(id, self.devices.get(id)?);
         }
+        let hub = &mut run.hub;
+        let stats = &mut run.stats;
         stats.quarantine_skips += hub.take_quarantine_skips();
         // Silent-corruption accounting: every checksum-mismatch retransmit
         // the hub performed is charged to the offending device's health.
@@ -665,10 +616,11 @@ impl Executor {
             self.residency = Some(cache);
         }
         for id in self.devices.ids() {
-            tally.drain_serial(self.devices.get_mut(id)?.as_mut(), &mut stats);
+            run.drain(self.devices.get_mut(id)?.as_mut());
         }
 
-        stats.total_ns = tally.serial_ns + tally.overlap_ns;
+        let mut stats = run.stats;
+        stats.total_ns = run.serial_ns + run.overlap_ns;
         stats.wall_ns = wall.elapsed().as_nanos() as u64;
 
         // Tick breaker cool-downs and snapshot post-query health, whether
@@ -724,10 +676,7 @@ impl Executor {
                     .count();
                 let unit = match self.devices.get(dev) {
                     Ok(d) => d
-                        .placement_cost_ns(
-                            est_bytes,
-                            self.health.retry_penalty_ns(dev) + self.health.latency_penalty_ns(dev),
-                        )
+                        .placement_cost_ns(est_bytes, self.health.placement_penalty_ns(dev))
                         .max(1.0),
                     Err(_) => 1.0,
                 };
@@ -741,14 +690,7 @@ impl Executor {
         let mut probe_granted: HashSet<DeviceId> = HashSet::new();
         let mut kernel_probe_granted: HashSet<(DeviceId, String)> = HashSet::new();
         for (pi, pipeline) in pipelines.pipelines.iter().enumerate() {
-            let mut devs: Vec<DeviceId> = pipeline
-                .nodes
-                .iter()
-                .map(|&n| graph.node(n).device)
-                .collect();
-            devs.sort_unstable();
-            devs.dedup();
-            for dev in devs {
+            for dev in devices_of(graph, pipeline) {
                 let kernels = self.kernels_on_device(graph, pipeline, dev);
                 let avoid = if self.devices.get(dev).is_err() {
                     // The plan targets a device that is no longer plugged
@@ -800,13 +742,11 @@ impl Executor {
                     }
                     shed
                 };
-                if avoid {
-                    if let Ok(true) = self.repoint_pipeline(graph, pipeline, dev) {
-                        stats.quarantine_skips += 1;
-                    }
-                    // No healthy capable candidate: leave the placement and
-                    // let the run try its luck (graceful degradation beats
-                    // refusing to run at all).
+                // With no healthy capable candidate the placement stays and
+                // the run tries its luck (graceful degradation beats refusing
+                // to run at all).
+                if avoid && self.repoint_pipeline(graph, pipeline, dev) {
+                    stats.quarantine_skips += 1;
                 }
             }
         }
@@ -843,20 +783,13 @@ impl Executor {
     /// Runs one pipeline with bounded fault recovery (the tentpole of the
     /// executor's hardening): a failed attempt is unwound — buffers freed
     /// back to the pre-attempt mark, partial host accumulations discarded —
-    /// and retried according to [`RetryPolicy`] and the error class.
-    #[allow(clippy::too_many_arguments)]
+    /// and retried according to [`RetryPolicy`] and the error's
+    /// [`FailureClass`].
     fn run_pipeline_with_recovery(
         &mut self,
         graph: &mut PrimitiveGraph,
         pipeline: &Pipeline,
-        inputs: &QueryInputs,
-        cfg: ModelConfig,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        escaping: &HashSet<DataRef>,
-        control: &RunControl,
-        ckpt: &mut CheckpointState,
+        run: &mut RunState,
         resume: Option<&ResumeCursor>,
     ) -> Result<()> {
         let retry = self.config.retry;
@@ -867,31 +800,22 @@ impl Executor {
         let mut attempt = 0usize;
         loop {
             attempt += 1;
-            control.check(tally.serial_ns + tally.overlap_ns, stats)?;
+            run.check(0.0)?;
             // Devices this attempt runs on (re-placement changes them), for
             // the health registry's attempt/success accounting.
-            let mut attempt_devs: Vec<DeviceId> = pipeline
-                .nodes
-                .iter()
-                .map(|&n| graph.node(n).device)
-                .collect();
-            attempt_devs.sort_unstable();
-            attempt_devs.dedup();
+            let attempt_devs = devices_of(graph, pipeline);
             for &d in &attempt_devs {
                 self.health.record_attempt(d);
             }
-            let lanes_before = stats.transfer_ns + stats.compute_ns + stats.other_ns;
-            let mark = hub.mark();
-            let result = if pipeline.is_streaming() && cfg.chunked {
-                self.run_streaming(
-                    graph, pipeline, inputs, cfg, chunk_rows, hub, stats, tally, escaping, control,
-                    ckpt, resume,
-                )
+            let lanes_before = run.lanes_ns();
+            let mark = run.hub.mark();
+            let result = if pipeline.is_streaming() && run.cfg.chunked {
+                self.run_streaming(graph, pipeline, chunk_rows, run, resume)
             } else {
-                self.run_whole(graph, pipeline, inputs, hub, stats, tally, control)
+                self.run_whole(graph, pipeline, run)
             };
             let err = match result {
-                Err(e) if gone_device(&e).is_some() => {
+                Err(e) if e.gone_device().is_some() => {
                     // Permanent device death: pipeline-scope recovery must
                     // not touch the corpse (rollback would call into it and
                     // a health verdict would record a ghost), so surface it
@@ -901,14 +825,14 @@ impl Executor {
                 Ok(()) => {
                     for &d in &attempt_devs {
                         if self.health.record_success(d) {
-                            stats.probe_successes += 1;
+                            run.stats.probe_successes += 1;
                         }
                         // Every kernel the successful pipeline resolved on
                         // this device ran clean: reset its streak and settle
                         // any in-flight kernel probe.
                         for k in self.kernels_on_device(graph, pipeline, d) {
                             if self.health.record_kernel_success(d, &k) {
-                                stats.kernel_probe_successes += 1;
+                                run.stats.kernel_probe_successes += 1;
                             }
                         }
                     }
@@ -921,13 +845,13 @@ impl Executor {
             // (wasted work is charged); the buffers and partial host
             // accumulations are not.
             for id in self.devices.ids() {
-                tally.drain_serial(self.devices.get_mut(id)?.as_mut(), stats);
+                run.drain(self.devices.get_mut(id)?.as_mut());
             }
-            hub.rollback_to(&mut self.devices, mark);
-            for r in escaping {
+            run.hub.rollback_to(&mut self.devices, mark);
+            for r in &run.escaping {
                 if let DataRef::Output { node, .. } = r {
                     if pipeline.nodes.contains(node) {
-                        hub.discard_host(*r);
+                        run.hub.discard_host(*r);
                     }
                 }
             }
@@ -936,62 +860,46 @@ impl Executor {
             // contiguity watermark) that the discard just dropped, so the
             // next attempt's accumulations continue from `resume_offset`.
             if let Some(c) = resume {
-                hub.restore_host(&c.host);
+                run.hub.restore_host(&c.host);
             }
 
             // Feed the failure back into the health registry: what the
             // attempt burned (the stats lanes kept accumulating through the
             // chunk loop and the unwind drain) is its observed retry cost.
-            let wasted_ns =
-                (stats.transfer_ns + stats.compute_ns + stats.other_ns - lanes_before).max(0.0);
-            let verdict = match &err {
-                ExecError::KernelFailed { device, source, .. } if is_oom(source) => {
-                    FailureVerdict {
-                        device_tripped: self.health.record_oom(*device, wasted_ns),
-                        kernel_tripped: false,
-                    }
+            let wasted_ns = (run.lanes_ns() - lanes_before).max(0.0);
+            let class = classify(&err);
+            let verdict = match class {
+                // A bare device OOM does not say which device; charge the
+                // pipeline's first device (deterministic, and pipelines are
+                // single-device in all built-in plans).
+                FailureClass::Oom(named) => FailureVerdict {
+                    device_tripped: named
+                        .or(attempt_devs.first().copied())
+                        .is_some_and(|d| self.health.record_oom(d, wasted_ns)),
+                    kernel_tripped: false,
+                },
+                FailureClass::Kernel { device, kernel } => {
+                    self.health.record_kernel_failure(device, kernel, wasted_ns)
                 }
-                ExecError::KernelFailed { device, kernel, .. } => self
-                    .health
-                    .record_kernel_failure(*device, kernel, wasted_ns),
-                ExecError::TransferCorrupted { device, .. } => {
+                FailureClass::Corrupt(device) => {
                     // The retransmit loop already logged each mismatch; the
                     // exhausted budget itself counts as one more strike.
-                    self.health.record_corruption(*device);
+                    self.health.record_corruption(device);
                     FailureVerdict::default()
                 }
-                ExecError::Device(de) if is_oom(de) => {
-                    // A bare device OOM does not say which device; charge the
-                    // pipeline's first device (deterministic, and pipelines
-                    // are single-device in all built-in plans).
-                    FailureVerdict {
-                        device_tripped: match attempt_devs.first() {
-                            Some(&d) => self.health.record_oom(d, wasted_ns),
-                            None => false,
-                        },
-                        kernel_tripped: false,
-                    }
-                }
-                _ => FailureVerdict::default(),
+                FailureClass::NoImpl | FailureClass::Fatal => FailureVerdict::default(),
             };
-            if verdict.device_tripped {
-                stats.breaker_trips += 1;
-            }
-            if verdict.kernel_tripped {
-                stats.kernel_breaker_trips += 1;
-            }
+            run.stats.breaker_trips += usize::from(verdict.device_tripped);
+            run.stats.kernel_breaker_trips += usize::from(verdict.kernel_tripped);
             // Residency pins on the failing devices are part of the fault
             // domain: an OOM retry needs the memory back, a tripped breaker
             // or corrupted link means the device's contents are not trusted.
             // Invalidate instead of leaking them into the next attempt.
-            let cache_affected = verdict.device_tripped
-                || matches!(&err, ExecError::TransferCorrupted { .. })
-                || matches!(&err, ExecError::Device(de) if is_oom(de))
-                || matches!(&err,
-                    ExecError::KernelFailed { source, .. } if is_oom(source));
-            if cache_affected {
+            if verdict.device_tripped
+                || matches!(class, FailureClass::Oom(_) | FailureClass::Corrupt(_))
+            {
                 for &d in &attempt_devs {
-                    hub.evict_cache_on(&mut self.devices, d);
+                    run.hub.evict_cache_on(&mut self.devices, d);
                 }
             }
 
@@ -999,79 +907,50 @@ impl Executor {
                 return Err(err);
             }
 
-            let can_halve = pipeline.is_streaming()
-                && cfg.chunked
-                && chunk_rows > retry.min_chunk_rows.max(1)
-                && !pipeline_is_order_sensitive(graph, pipeline);
-            match &err {
-                ExecError::Device(de) if is_oom(de) => {
-                    // Out of memory while staging or allocating: shrink the
-                    // streaming chunk so the working set fits. When halving
-                    // is impossible (whole-buffer pipeline, already at the
-                    // floor, order-sensitive primitives that must see the
-                    // scan in one chunk) a plain retry still clears
-                    // transient allocation faults.
-                    if can_halve {
+            let move_off = match class {
+                FailureClass::Oom(_) => {
+                    // Shrink the streaming chunk so the working set fits.
+                    // When halving is impossible (whole-buffer pipeline,
+                    // already at the floor, order-sensitive primitives that
+                    // must see the scan in one chunk) a plain retry still
+                    // clears transient allocation faults.
+                    if pipeline.is_streaming()
+                        && run.cfg.chunked
+                        && chunk_rows > retry.min_chunk_rows.max(1)
+                        && order_sensitive_kind(graph, pipeline).is_none()
+                    {
                         chunk_rows = (chunk_rows / 2).max(retry.min_chunk_rows.max(1));
-                        stats.chunk_backoffs += 1;
+                        run.stats.chunk_backoffs += 1;
                     }
+                    None
                 }
-                ExecError::KernelFailed { device, source, .. } if is_oom(source) => {
-                    // A kernel ran out of memory mid-execution: same backoff
-                    // as an allocation failure.
-                    let _ = device;
-                    if can_halve {
-                        chunk_rows = (chunk_rows / 2).max(retry.min_chunk_rows.max(1));
-                        stats.chunk_backoffs += 1;
-                    }
-                }
-                ExecError::KernelFailed { device, .. } => {
+                FailureClass::Kernel { device, .. } => {
                     let streak = match kernel_fault_streak {
-                        Some((d, n)) if d == *device => n + 1,
+                        Some((d, n)) if d == device => n + 1,
                         _ => 1,
                     };
-                    kernel_fault_streak = Some((*device, streak));
-                    if streak >= 2 {
-                        // Persistent per-device failure: move the pipeline's
-                        // work off this device if another one can take it.
-                        if !retry.allow_fallback
-                            || !self.repoint_pipeline(graph, pipeline, *device)?
-                        {
-                            return Err(err);
-                        }
-                        stats.fallback_placements += 1;
-                        kernel_fault_streak = None;
-                    }
+                    // A persistent per-device failure moves the pipeline's
+                    // work off the device.
+                    kernel_fault_streak = (streak < 2).then_some((device, streak));
+                    (streak >= 2).then_some(device)
                 }
-                ExecError::TransferCorrupted { device, .. } => {
-                    // The link to this device failed checksum verification
-                    // through the whole retransmit budget: treat it like a
-                    // broken device and move the pipeline elsewhere.
-                    if !retry.allow_fallback || !self.repoint_pipeline(graph, pipeline, *device)? {
-                        return Err(err);
-                    }
-                    stats.fallback_placements += 1;
+                FailureClass::Corrupt(device) => Some(device),
+                // A placement bug, not a transient fault: retrying on the
+                // same device can never succeed, so fall back immediately or
+                // fail fast.
+                FailureClass::NoImpl => match self.find_unresolvable_device(graph, pipeline) {
+                    Some(dev) => Some(dev),
+                    None => return Err(err),
+                },
+                FailureClass::Fatal => return Err(err),
+            };
+            if let Some(dev) = move_off {
+                if !self.repoint_pipeline(graph, pipeline, dev) {
+                    return Err(err);
                 }
-                ExecError::NoImplementation { .. } => {
-                    // A placement bug, not a transient fault: retrying on
-                    // the same device can never succeed, so fall back
-                    // immediately or fail fast.
-                    let bad = self.find_unresolvable_device(graph, pipeline);
-                    match bad {
-                        Some(dev)
-                            if retry.allow_fallback
-                                && self.repoint_pipeline(graph, pipeline, dev)? =>
-                        {
-                            stats.fallback_placements += 1;
-                        }
-                        _ => return Err(err),
-                    }
-                }
-                // Graph validation problems, missing inputs, internal
-                // invariant violations: retrying cannot help.
-                _ => return Err(err),
+                run.stats.fallback_placements += 1;
             }
-            stats.retries += 1;
+            run.stats.retries += 1;
         }
     }
 
@@ -1097,53 +976,38 @@ impl Executor {
     ///    the legacy full restart from row 0 — never a wrong answer.
     ///
     /// Errors with the original `Gone` when no survivor can take the work.
-    #[allow(clippy::too_many_arguments)]
     fn handle_device_loss(
         &mut self,
         dead: DeviceId,
         graph: &mut PrimitiveGraph,
         pipelines: &PipelineSet,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        fault_base: &mut BTreeMap<DeviceId, u64>,
-        tally: &mut Tally,
-        ckpt: &mut CheckpointState,
+        run: &mut RunState,
     ) -> Result<()> {
-        stats.device_deaths += 1;
+        run.stats.device_deaths += 1;
         if let Ok(dev) = self.devices.get_mut(dead) {
             // Host-side accessors still work on the corpse; capture its
             // contribution before it is unplugged.
-            tally.drain_serial(dev.as_mut(), stats);
-            stats.bytes_h2d += dev.clock().bytes_h2d();
-            stats.bytes_d2h += dev.clock().bytes_d2h();
-            stats
-                .peak_device_bytes
-                .insert(dev.info().name.clone(), dev.pool().peak());
-            let base = fault_base.get(&dead).copied().unwrap_or(0);
-            let delta = dev.fault_counters().total().saturating_sub(base);
-            if delta > 0 {
-                stats.device_faults.insert(dev.info().name.clone(), delta);
-            }
+            run.drain(dev.as_mut());
+            run.fold_device(dead, dev.as_ref());
         }
+        let hub = &mut run.hub;
+        let stats = &mut run.stats;
+        let ckpt = &mut run.ckpt;
         let (buffers, lost_bytes) = hub.write_off_device(&mut self.devices, dead);
         stats.buffers_written_off += buffers;
         stats.restaged_bytes += lost_bytes;
         hub.rollback_to(&mut self.devices, 0);
         hub.discard_all_host();
         self.health.forget_device(dead);
-        fault_base.remove(&dead);
         self.devices.remove(dead);
+        let gone = || ExecError::Device(adamant_device::error::DeviceError::Gone { device: dead });
         if self.devices.is_empty() {
-            return Err(ExecError::Device(
-                adamant_device::error::DeviceError::Gone { device: dead },
-            ));
+            return Err(gone());
         }
         for pipeline in &pipelines.pipelines {
             let on_dead = pipeline.nodes.iter().any(|&n| graph.node(n).device == dead);
-            if on_dead && !self.repoint_pipeline(graph, pipeline, dead)? {
-                return Err(ExecError::Device(
-                    adamant_device::error::DeviceError::Gone { device: dead },
-                ));
+            if on_dead && !self.repoint_pipeline(graph, pipeline, dead) {
+                return Err(gone());
             }
         }
         // Membership is settled; default to a full restart unless a
@@ -1254,23 +1118,15 @@ impl Executor {
     /// since the last snapshot must exceed the estimated capture cost times
     /// [`CheckpointConfig::cost_factor`]. `resume_offset` is the in-progress
     /// pipeline's high-water scan row (0 at pipeline boundaries).
-    fn maybe_capture_checkpoint(
-        &mut self,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        ckpt: &mut CheckpointState,
-        resume_offset: usize,
-    ) -> Result<()> {
-        if !ckpt.cfg.enabled {
+    fn maybe_capture_checkpoint(&mut self, run: &mut RunState, resume_offset: usize) -> Result<()> {
+        if !run.ckpt.cfg.enabled {
             return Ok(());
         }
-        let est = self.estimate_capture_ns(hub);
-        let lanes = stats.transfer_ns + stats.compute_ns + stats.other_ns;
-        if lanes - ckpt.lanes_mark <= est * ckpt.cfg.cost_factor {
+        let est = self.estimate_capture_ns(&run.hub);
+        if run.lanes_ns() - run.ckpt.lanes_mark <= est * run.ckpt.cfg.cost_factor {
             return Ok(());
         }
-        self.capture_checkpoint(hub, stats, tally, ckpt, resume_offset)
+        self.capture_checkpoint(run, resume_offset)
     }
 
     /// Captures one consistent snapshot. The candidate is fully assembled
@@ -1280,14 +1136,8 @@ impl Executor {
     /// still consistent boundary. Capture transfers pay real modeled D2H
     /// cost, drained into the stats here so the surrounding chunk loop's
     /// per-chunk attribution stays clean.
-    fn capture_checkpoint(
-        &mut self,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        ckpt: &mut CheckpointState,
-        resume_offset: usize,
-    ) -> Result<()> {
+    fn capture_checkpoint(&mut self, run: &mut RunState, resume_offset: usize) -> Result<()> {
+        let hub = &mut run.hub;
         let host = hub.snapshot_host();
         let mut resident: Vec<(DataRef, BufferData)> = Vec::new();
         let mut manifest: Vec<String> = Vec::new();
@@ -1305,9 +1155,9 @@ impl Executor {
             manifest.push(format!("host {:?} @{}", r, watermark));
         }
         let mut cp = QueryCheckpoint {
-            pipelines_done: ckpt.pipelines_done,
+            pipelines_done: run.ckpt.pipelines_done,
             resume_offset,
-            chunks_done: ckpt.chunks_done,
+            chunks_done: run.ckpt.chunks_done,
             host,
             resident,
             manifest,
@@ -1316,7 +1166,7 @@ impl Executor {
         };
         cp.seal();
         for id in self.devices.ids() {
-            tally.drain_serial(self.devices.get_mut(id)?.as_mut(), stats);
+            run.drain(self.devices.get_mut(id)?.as_mut());
             // Scripted checkpoint corruption: a device's fault plan may
             // damage the snapshot in flight. The stored checksum no longer
             // matches the content, so the resume-time validation rejects it
@@ -1326,78 +1176,85 @@ impl Executor {
                 cp.checksum ^= 1;
             }
         }
-        stats.checkpoints_taken += 1;
-        stats.checkpoint_bytes += cp.bytes;
-        ckpt.lanes_mark = stats.transfer_ns + stats.compute_ns + stats.other_ns;
-        ckpt.latest = Some(cp);
+        run.stats.checkpoints_taken += 1;
+        run.stats.checkpoint_bytes += cp.bytes;
+        run.ckpt.lanes_mark = run.lanes_ns();
+        run.ckpt.latest = Some(cp);
         Ok(())
     }
 
     /// Moves every node of `pipeline` currently placed on `failed` onto the
-    /// best other device that implements all of them, consulting the health
-    /// registry. Candidates where any moving kernel is already known broken
-    /// are never chosen; quarantined devices only as a last resort; among
-    /// the healthy candidates the recovery-aware placement cost (modeled
-    /// staging transfer plus expected retry penalty) picks the winner,
-    /// lowest id on ties. Returns whether a re-placement happened.
+    /// best other device that implements all of them (see
+    /// [`Executor::rank_devices`]); a quarantined device is chosen only as a
+    /// last resort, lowest id first. Returns whether a re-placement
+    /// happened.
     fn repoint_pipeline(
         &self,
         graph: &mut PrimitiveGraph,
         pipeline: &Pipeline,
         failed: DeviceId,
-    ) -> Result<bool> {
-        let moving: Vec<_> = pipeline
+    ) -> bool {
+        let moving: Vec<NodeId> = pipeline
             .nodes
             .iter()
             .copied()
             .filter(|&n| graph.node(n).device == failed)
             .collect();
         if moving.is_empty() {
-            return Ok(false);
+            return false;
         }
         let est_bytes = (self.config.chunk_rows.max(1) * 8) as u64;
+        let (healthy, quarantined) = self.rank_devices(graph, &moving, failed, est_bytes);
+        let Some(target) = healthy.or(quarantined) else {
+            return false;
+        };
+        for &n in &moving {
+            graph.nodes[n.0].device = target;
+        }
+        true
+    }
+
+    /// Ranks the devices other than `exclude` that can run every node in
+    /// `nodes` — each resolves to a kernel not known broken there. Returns
+    /// the cheapest healthy candidate by recovery-aware placement cost
+    /// (modeled staging of `est_bytes` plus the retry and latency
+    /// penalties), lowest id on ties, and the lowest-id quarantined one.
+    fn rank_devices(
+        &self,
+        graph: &PrimitiveGraph,
+        nodes: &[NodeId],
+        exclude: DeviceId,
+        est_bytes: u64,
+    ) -> (Option<DeviceId>, Option<DeviceId>) {
         let mut healthy: Vec<(f64, DeviceId)> = Vec::new();
-        let mut last_resort: Vec<DeviceId> = Vec::new();
+        let mut quarantined: Vec<DeviceId> = Vec::new();
         for cand in self.devices.ids() {
-            if cand == failed {
+            let Ok(dev) = self.devices.get(cand) else {
                 continue;
-            }
-            let dev = self.devices.get(cand)?;
+            };
             let sdk = dev.info().sdk;
-            let capable = moving.iter().all(|&n| {
-                let node = graph.node(n);
-                match self.tasks.resolve(node.kind, sdk, node.variant.as_deref()) {
-                    Some(c) => !self.health.kernel_known_broken(cand, &c.kernel_name()),
-                    None => false,
-                }
-            });
+            let capable = cand != exclude
+                && nodes.iter().all(|&n| {
+                    let node = graph.node(n);
+                    self.tasks
+                        .resolve(node.kind, sdk, node.variant.as_deref())
+                        .is_some_and(|c| !self.health.kernel_known_broken(cand, &c.kernel_name()))
+                });
             if !capable {
                 continue;
             }
             if self.health.is_quarantined(cand) {
-                last_resort.push(cand);
+                quarantined.push(cand);
             } else {
-                // Slow devices lose placement ties: the latency EWMA the
-                // watchdog feeds joins the expected-retry penalty.
-                let penalty =
-                    self.health.retry_penalty_ns(cand) + self.health.latency_penalty_ns(cand);
+                let penalty = self.health.placement_penalty_ns(cand);
                 healthy.push((dev.placement_cost_ns(est_bytes, penalty), cand));
             }
         }
-        let target = healthy
+        let best = healthy
             .into_iter()
             .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .map(|(_, id)| id)
-            .or_else(|| last_resort.into_iter().min());
-        match target {
-            Some(cand) => {
-                for &n in &moving {
-                    graph.nodes[n.0].device = cand;
-                }
-                Ok(true)
-            }
-            None => Ok(false),
-        }
+            .map(|(_, id)| id);
+        (best, quarantined.into_iter().min())
     }
 
     /// The first device in `pipeline` whose SDK lacks an implementation for
@@ -1450,100 +1307,67 @@ impl Executor {
 
     // ---- whole-input execution (OAAT and full-buffer pipelines) ---------
 
-    #[allow(clippy::too_many_arguments)]
     fn run_whole(
         &mut self,
         graph: &PrimitiveGraph,
         pipeline: &Pipeline,
-        inputs: &QueryInputs,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        control: &RunControl,
+        run: &mut RunState,
     ) -> Result<()> {
         for &node_id in &pipeline.nodes {
-            control.check(tally.serial_ns + tally.overlap_ns, stats)?;
+            run.check(0.0)?;
             let node = graph.node(node_id).clone();
-            // Resolve inputs.
-            let mut in_ids = Vec::with_capacity(node.inputs.len());
-            let mut est_rows = 0usize;
-            for &input in &node.inputs {
-                let id = match input {
-                    DataRef::Input(i) => {
-                        let gi = &graph.inputs()[i];
-                        let col = inputs.get(&gi.name).expect("validated");
-                        hub.load_whole_input(&mut self.devices, input, node.device, &gi.name, col)?
-                    }
-                    DataRef::Output { .. } => hub.router(&mut self.devices, input, node.device)?,
-                };
-                let len = self
-                    .devices
-                    .get(node.device)?
-                    .pool()
-                    .get(id)
-                    .map(|b| b.data.len())
-                    .unwrap_or(0);
-                est_rows = est_rows.max(len);
-                in_ids.push(id);
-            }
-            tally.drain_serial(self.devices.get_mut(node.device)?.as_mut(), stats);
+            let in_ids =
+                self.bind_inputs(graph, &node, run, None, &HashMap::new(), &HashMap::new())?;
+            let pool = self.devices.get(node.device)?.pool();
+            let est_rows = in_ids
+                .iter()
+                .map(|&id| pool.get(id).map_or(0, |b| b.data.len()))
+                .max()
+                .unwrap_or(0);
+            run.drain(self.devices.get_mut(node.device)?.as_mut());
 
             // Prepare outputs (all materialized in whole mode).
             let mut out_ids = Vec::with_capacity(node.output_count);
-            for port in 0..node.output_count {
-                let semantic = graph.semantic_of(DataRef::Output {
-                    node: node.id,
+            for (port, r) in node.output_refs() {
+                let semantic = graph.semantic_of(r);
+                let id = run.hub.prepare_output_buffer(
+                    &mut self.devices,
+                    &node,
                     port,
-                });
-                let id =
-                    hub.prepare_output_buffer(&mut self.devices, &node, port, semantic, est_rows)?;
-                hub.register_resident(
-                    DataRef::Output {
-                        node: node.id,
-                        port,
-                    },
-                    node.device,
-                    id,
-                );
+                    semantic,
+                    est_rows,
+                )?;
+                run.hub.register_resident(r, node.device, id);
                 out_ids.push(id);
             }
-            tally.drain_serial(self.devices.get_mut(node.device)?.as_mut(), stats);
+            run.drain(self.devices.get_mut(node.device)?.as_mut());
 
             // Execute once over the whole inputs.
             let saved = self.execute_node(&node, &in_ids, &out_ids)?;
-            stats.fusion_saved_transfer_ns += saved;
-            Self::note_intermediates(graph, &node, est_rows, stats);
-            let (t, c, o, _) = tally.drain_split(self.devices.get_mut(node.device)?.as_mut());
-            tally.serial_ns += t + c + o;
-            stats.transfer_ns += t;
-            stats.compute_ns += c;
-            stats.other_ns += o;
-            stats.record_primitive(&node.label, c);
-            stats.slice_ns.push(t + c + o);
+            run.stats.fusion_saved_transfer_ns += saved;
+            Self::note_intermediates(graph, &node, est_rows, &mut run.stats);
+            let lanes = run.charge(self.devices.get_mut(node.device)?.as_mut());
+            let slice_ns = lanes.transfer + lanes.compute + lanes.other;
+            run.serial_ns += slice_ns;
+            run.stats.record_primitive(&node.label, lanes.compute);
+            run.stats.slice_ns.push(slice_ns);
             let used = self.devices.get(node.device)?.pool().used();
-            stats.memory_trace.push((node.label.clone(), used));
+            run.stats.memory_trace.push((node.label.clone(), used));
         }
         Ok(())
     }
 
     // ---- streaming (chunked) execution -----------------------------------
 
-    #[allow(clippy::too_many_arguments)]
     fn run_streaming(
         &mut self,
         graph: &PrimitiveGraph,
         pipeline: &Pipeline,
-        inputs: &QueryInputs,
-        cfg: ModelConfig,
         chunk_rows: usize,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        escaping: &HashSet<DataRef>,
-        control: &RunControl,
-        ckpt: &mut CheckpointState,
+        run: &mut RunState,
         resume: Option<&ResumeCursor>,
     ) -> Result<()> {
+        let cfg = run.cfg;
         let scan = pipeline
             .scan
             .clone()
@@ -1555,10 +1379,11 @@ impl Executor {
         // re-checks the accounting, so an over-eager regrow surfaces as a
         // recoverable OOM). Any failed chunk unwinds the whole attempt, so
         // within an attempt every processed chunk succeeded and the size is
-        // a pure function of the chunk index — both streaming loops (and the
-        // overlap path's transfer thread) evaluate the same [`ChunkSchedule`]
-        // instead of exchanging sizes through shared state, keeping chunk
-        // boundaries deterministic under any thread interleaving.
+        // a pure function of the chunk index — the chunk slicer (on the
+        // overlap path's transfer thread) and the chunk body evaluate the
+        // same [`ChunkSchedule`] instead of exchanging sizes through shared
+        // state, keeping chunk boundaries deterministic under any thread
+        // interleaving.
         let schedule = ChunkSchedule {
             start: chunk_rows,
             configured: self.config.chunk_rows.max(1),
@@ -1572,7 +1397,7 @@ impl Executor {
             for &input in &graph.node(node_id).inputs {
                 if let DataRef::Input(i) = input {
                     if graph.inputs()[i].scan.as_deref() == Some(scan.as_str()) && seen.insert(i) {
-                        let col = inputs.get(&graph.inputs()[i].name).expect("validated");
+                        let col = run.inputs.get(&graph.inputs()[i].name).expect("validated");
                         scan_cols.push((i, Arc::clone(col)));
                     }
                 }
@@ -1586,70 +1411,58 @@ impl Executor {
         let resume_offset = resume.map_or(0, |c| c.resume_offset).min(rows);
 
         // Order-sensitive breakers cannot stream across multiple chunks.
-        if n_chunks > 1 {
-            for &node_id in &pipeline.nodes {
-                let kind = graph.node(node_id).kind;
-                if matches!(
-                    kind,
-                    PrimitiveKind::Sort | PrimitiveKind::SortAgg | PrimitiveKind::PrefixSum
-                ) {
-                    return Err(ExecError::InvalidGraph(format!(
-                        "{kind} is order-sensitive and cannot run in a multi-chunk \
-                         streaming pipeline; materialize its input first"
-                    )));
-                }
-            }
+        if let Some(kind) = order_sensitive_kind(graph, pipeline).filter(|_| n_chunks > 1) {
+            return Err(ExecError::InvalidGraph(format!(
+                "{kind} is order-sensitive and cannot run in a multi-chunk \
+                 streaming pipeline; materialize its input first"
+            )));
         }
 
         // ---- Stage phase -------------------------------------------------
-        // Staging buffers per (scan input, consuming device, slot).
-        let devices_used: Vec<DeviceId> = {
-            let mut v: Vec<DeviceId> = pipeline
-                .nodes
-                .iter()
-                .map(|&n| graph.node(n).device)
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let staging_slots = if cfg.stage_once {
-            cfg.staging_buffers
-        } else {
-            1
+        let devices_used = devices_of(graph, pipeline);
+        let mut stream = Stream {
+            graph,
+            pipeline,
+            scan_cols,
+            staging: HashMap::new(),
+            slots: if cfg.stage_once {
+                cfg.staging_buffers
+            } else {
+                1
+            },
+            scratch: HashMap::new(),
         };
         let chunk_bytes = (chunk_rows.min(rows.max(1)) * 8) as u64;
-        let mut staging: HashMap<(usize, DeviceId, usize), BufferId> = HashMap::new();
-        for &(input_idx, _) in &scan_cols {
+        for &(input_idx, _) in &stream.scan_cols {
             for &dev_id in &devices_used {
-                for slot in 0..staging_slots {
-                    let id = hub.fresh_id();
+                for slot in 0..stream.slots {
+                    let id = run.hub.fresh_id();
                     let dev = self.devices.get_mut(dev_id)?;
                     if cfg.pinned {
                         dev.add_pinned_memory(id, chunk_bytes)?;
                     } else {
                         dev.prepare_memory(id, chunk_bytes)?;
                     }
-                    hub.track_created(dev_id, id);
-                    staging.insert((input_idx, dev_id, slot), id);
+                    run.hub.track_created(dev_id, id);
+                    stream.staging.insert((input_idx, dev_id, slot), id);
                 }
             }
         }
 
         // Scratch outputs (non-breaker) and accumulators (breaker outputs).
-        let mut scratch: HashMap<DataRef, BufferId> = HashMap::new();
         for &node_id in &pipeline.nodes {
             let node = graph.node(node_id).clone();
-            for port in 0..node.output_count {
-                let r = DataRef::Output {
-                    node: node.id,
-                    port,
-                };
+            for (port, r) in node.output_refs() {
                 let semantic = graph.semantic_of(r);
                 if node.kind.is_pipeline_breaker() {
-                    let id =
-                        hub.prepare_output_buffer(&mut self.devices, &node, port, semantic, rows)?;
-                    hub.register_resident(r, node.device, id);
+                    let id = run.hub.prepare_output_buffer(
+                        &mut self.devices,
+                        &node,
+                        port,
+                        semantic,
+                        rows,
+                    )?;
+                    run.hub.register_resident(r, node.device, id);
                     // Checkpoint resume: seed the freshly created accumulator
                     // with the snapshot's partial state. The seed is applied
                     // per attempt (the accumulator is created after the
@@ -1657,191 +1470,109 @@ impl Executor {
                     // in-place chunk mutations back and re-seeds cleanly —
                     // chunks past `resume_offset` are never double-counted.
                     if let Some(seed) = resume.and_then(|c| c.seed_for(r)) {
-                        hub.place_verified(&mut self.devices, node.device, id, seed.clone(), 0)?;
+                        run.hub.place_verified(
+                            &mut self.devices,
+                            node.device,
+                            id,
+                            seed.clone(),
+                            0,
+                        )?;
                     }
                 } else if cfg.stage_once {
-                    let id = hub.prepare_output_buffer(
+                    let id = run.hub.prepare_output_buffer(
                         &mut self.devices,
                         &node,
                         port,
                         semantic,
                         chunk_rows.min(rows.max(1)),
                     )?;
-                    scratch.insert(r, id);
+                    stream.scratch.insert(r, id);
                 }
             }
         }
         for &dev_id in &devices_used {
-            tally.drain_serial(self.devices.get_mut(dev_id)?.as_mut(), stats);
+            run.drain(self.devices.get_mut(dev_id)?.as_mut());
         }
 
         // ---- Copy-compute phase -------------------------------------------
+        // Algorithm 2: a transfer side slices chunks and hands them to the
+        // execute side; `fetched_until`/`processed_until` track progress
+        // exactly as in the paper. Overlapping models run the slicer on a
+        // real transfer thread behind a bounded channel whose capacity is the
+        // number of staging buffers; the others slice inline. Both feed the
+        // same chunk body.
+        let fetched_until = AtomicUsize::new(0);
+        let processed_until = AtomicUsize::new(0);
+        let chunks = slice_chunks(stream.scan_cols.clone(), schedule, resume_offset, rows);
+        let cancel = run.cancel.clone();
         let mut chunk_costs: Vec<ChunkCost> = Vec::with_capacity(n_chunks);
         // Device time charged to the owning query per chunk (winner cost
         // plus any hedge work) — what the multi-query scheduler replays.
         let mut chunk_charges: Vec<f64> = Vec::with_capacity(n_chunks);
-        let hedging = self.config.watchdog_multiplier.is_some();
-        if cfg.overlap && n_chunks > 0 {
-            // Algorithm 2: a transfer thread slices and hands chunks to the
-            // execute thread over a bounded channel whose capacity is the
-            // number of staging buffers; `fetched_until`/`processed_until`
-            // track progress exactly as in the paper.
-            let fetched_until = AtomicUsize::new(0);
-            let processed_until = AtomicUsize::new(0);
-            let (tx, rx) =
-                std::sync::mpsc::sync_channel::<(usize, usize, usize, Vec<(usize, BufferData)>)>(
-                    cfg.staging_buffers,
-                );
-            let producer_cols: Vec<(usize, Arc<Vec<i64>>)> = scan_cols.clone();
-            let producer_cancel = control.cancel.clone();
-            let result: Result<()> = std::thread::scope(|scope| {
-                let fetched = &fetched_until;
-                let processed = &processed_until;
+        let mut streamed_ns = 0.0_f64;
+        let mut body = |chunk: Chunk| -> Result<()> {
+            run.check(streamed_ns)?;
+            if schedule.regrows_at(chunk.index) {
+                run.stats.chunk_regrowths += 1;
+            }
+            debug_assert!(
+                fetched_until.load(Ordering::Acquire) > processed_until.load(Ordering::Acquire),
+                "execute side ran ahead of transfer side"
+            );
+            let (offset, len) = (chunk.offset, chunk.len);
+            let outcome = self.run_one_chunk(&mut stream, run, chunk)?;
+            let (cost, charged) = self.watchdog_and_hedge(&stream, run, outcome, offset, len);
+            streamed_ns += cost.transfer_ns + cost.compute_ns;
+            chunk_costs.push(cost);
+            chunk_charges.push(charged);
+            // Chunk-interval checkpoint boundary: host accumulations and the
+            // breaker accumulators consistently reflect rows
+            // `[0, offset + len)` here.
+            if run.ckpt.cfg.enabled && run.ckpt.on_chunk_completed() {
+                self.maybe_capture_checkpoint(run, offset + len)?;
+            }
+            processed_until.fetch_add(1, Ordering::Release);
+            Ok(())
+        };
+        // Algorithm 2 ordering: the fetch is advertised *before* the chunk is
+        // handed over. The execute side may start on it the instant it is
+        // enqueued, so incrementing afterwards would race its
+        // `fetched > processed` check.
+        let fetched = &fetched_until;
+        if cfg.overlap {
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Chunk>(cfg.staging_buffers);
+            std::thread::scope(|scope| {
                 scope.spawn(move || {
-                    let mut chunk = 0usize;
-                    let mut offset = resume_offset;
-                    while offset < rows {
+                    for chunk in chunks {
                         // Cooperative cancellation: stop slicing; the execute
                         // side surfaces the error at its own check.
-                        if producer_cancel.is_cancelled() {
+                        if cancel.is_cancelled() {
                             return;
                         }
-                        let len = schedule.rows_for(chunk).min(rows - offset);
-                        let payloads: Vec<(usize, BufferData)> = producer_cols
-                            .iter()
-                            .map(|(idx, col)| {
-                                (*idx, BufferData::I64(col[offset..offset + len].to_vec()))
-                            })
-                            .collect();
-                        // Algorithm 2 ordering: advertise the fetch *before*
-                        // handing the chunk over. The execute thread may
-                        // start on the chunk the instant `send` enqueues it,
-                        // so incrementing afterwards races its
-                        // `fetched > processed` check.
                         fetched.fetch_add(1, Ordering::Release);
-                        if tx.send((chunk, offset, len, payloads)).is_err() {
+                        if tx.send(chunk).is_err() {
                             return; // executor side failed; stop transferring
                         }
-                        chunk += 1;
-                        offset += len;
                     }
                 });
-                // `rx` is moved into this scope so an early `?` return drops
-                // it, failing the producer's blocked `send` instead of
+                // The receiver is consumed here, so an early error drops it,
+                // failing the transfer thread's blocked `send` instead of
                 // deadlocking the implicit join at scope exit.
-                let rx = rx;
-                let mut streamed_ns = 0.0_f64;
-                for (chunk, offset, len, payloads) in rx.iter() {
-                    control.check(tally.serial_ns + tally.overlap_ns + streamed_ns, stats)?;
-                    if schedule.regrows_at(chunk) {
-                        stats.chunk_regrowths += 1;
-                    }
-                    debug_assert!(
-                        fetched.load(Ordering::Acquire) > processed.load(Ordering::Acquire),
-                        "execute thread ran ahead of transfer thread"
-                    );
-                    let slot = chunk % staging_slots;
-                    let hedge_payloads = hedging.then(|| payloads.clone());
-                    let outcome = self.run_one_chunk(
-                        graph,
-                        pipeline,
-                        inputs,
-                        cfg,
-                        hub,
-                        stats,
-                        tally,
-                        escaping,
-                        &staging,
-                        &mut scratch,
-                        slot,
-                        offset,
-                        len,
-                        payloads,
-                    )?;
-                    let (cost, charged) = self.watchdog_and_hedge(
-                        graph,
-                        pipeline,
-                        inputs,
-                        hub,
-                        stats,
-                        tally,
-                        outcome,
-                        len,
-                        hedge_payloads.as_deref(),
-                    );
-                    streamed_ns += cost.transfer_ns + cost.compute_ns;
-                    chunk_costs.push(cost);
-                    chunk_charges.push(charged);
-                    // Chunk-interval checkpoint boundary: host accumulations
-                    // and the breaker accumulators consistently reflect rows
-                    // `[0, offset + len)` right here.
-                    if ckpt.cfg.enabled && ckpt.on_chunk_completed() {
-                        self.maybe_capture_checkpoint(hub, stats, tally, ckpt, offset + len)?;
-                    }
-                    processed.fetch_add(1, Ordering::Release);
-                }
-                Ok(())
-            });
-            result?;
+                rx.into_iter().try_for_each(&mut body)
+            })?;
         } else {
-            let mut chunk = 0usize;
-            let mut offset = resume_offset;
-            let mut streamed_ns = 0.0_f64;
-            while offset < rows {
-                control.check(tally.serial_ns + tally.overlap_ns + streamed_ns, stats)?;
-                if schedule.regrows_at(chunk) {
-                    stats.chunk_regrowths += 1;
-                }
-                let len = schedule.rows_for(chunk).min(rows - offset);
-                let payloads: Vec<(usize, BufferData)> = scan_cols
-                    .iter()
-                    .map(|(idx, col)| (*idx, BufferData::I64(col[offset..offset + len].to_vec())))
-                    .collect();
-                let slot = chunk % staging_slots;
-                let hedge_payloads = hedging.then(|| payloads.clone());
-                let outcome = self.run_one_chunk(
-                    graph,
-                    pipeline,
-                    inputs,
-                    cfg,
-                    hub,
-                    stats,
-                    tally,
-                    escaping,
-                    &staging,
-                    &mut scratch,
-                    slot,
-                    offset,
-                    len,
-                    payloads,
-                )?;
-                let (cost, charged) = self.watchdog_and_hedge(
-                    graph,
-                    pipeline,
-                    inputs,
-                    hub,
-                    stats,
-                    tally,
-                    outcome,
-                    len,
-                    hedge_payloads.as_deref(),
-                );
-                streamed_ns += cost.transfer_ns + cost.compute_ns;
-                chunk_costs.push(cost);
-                chunk_charges.push(charged);
-                if ckpt.cfg.enabled && ckpt.on_chunk_completed() {
-                    self.maybe_capture_checkpoint(hub, stats, tally, ckpt, offset + len)?;
-                }
-                chunk += 1;
-                offset += len;
-            }
+            chunks
+                .inspect(|_| {
+                    fetched.fetch_add(1, Ordering::Release);
+                })
+                .try_for_each(&mut body)?;
         }
-        stats.chunks_processed += chunk_costs.len();
+        run.stats.chunks_processed += chunk_costs.len();
         // Preemption points for the multi-query scheduler: each chunk is
         // one interleavable slice of device time, charged at the winner's
         // cost plus any hedge work the chunk spawned (hedges bill the
         // owning query, so fair-share tenants cannot hedge for free).
-        stats.slice_ns.extend(chunk_charges);
+        run.stats.slice_ns.extend(chunk_charges);
         // Escaped scratch refs that never saw a chunk (empty scans) still
         // need an (empty) host accumulation for downstream consumers.
         for &node_id in &pipeline.nodes {
@@ -1849,14 +1580,10 @@ impl Executor {
             if node.kind.is_pipeline_breaker() {
                 continue;
             }
-            for port in 0..node.output_count {
-                let r = DataRef::Output {
-                    node: node.id,
-                    port,
-                };
-                if escaping.contains(&r) && !hub.has_host(r) {
+            for (_, r) in node.output_refs() {
+                if run.escaping.contains(&r) && !run.hub.has_host(r) {
                     let semantic = graph.semantic_of(r);
-                    hub.host_accumulate(
+                    run.hub.host_accumulate(
                         r,
                         semantic,
                         adamant_task::container::DataContainer::empty_payload(semantic),
@@ -1867,17 +1594,17 @@ impl Executor {
             }
         }
         if cfg.overlap {
-            tally.overlap_ns += overlapped_makespan(&chunk_costs, cfg.staging_buffers);
+            run.overlap_ns += overlapped_makespan(&chunk_costs, cfg.staging_buffers);
         } else {
-            tally.serial_ns += chunk_costs
+            run.serial_ns += chunk_costs
                 .iter()
                 .map(|c| c.transfer_ns + c.compute_ns)
                 .sum::<f64>();
         }
         let in_loop_transfer: f64 = chunk_costs.iter().map(|c| c.transfer_ns).sum();
         let in_loop_compute: f64 = chunk_costs.iter().map(|c| c.compute_ns).sum();
-        stats.transfer_ns += in_loop_transfer;
-        stats.compute_ns += in_loop_compute;
+        run.stats.transfer_ns += in_loop_transfer;
+        run.stats.compute_ns += in_loop_compute;
 
         // ---- Per-pipeline delete phase ------------------------------------
         // Free staging and scratch on the device that owns each buffer;
@@ -1885,30 +1612,17 @@ impl Executor {
         // These buffers are expected to exist, so failures are real leaks
         // and surface as errors; `release` also untracks the ids so the
         // final `delete_all` sweep cannot double-delete them.
-        let mut staging_ids: Vec<(DeviceId, BufferId)> = staging
-            .into_iter()
-            .map(|((_, dev_id, _), id)| (dev_id, id))
-            .collect();
-        staging_ids.sort_unstable();
-        for (dev_id, id) in staging_ids {
-            hub.release(&mut self.devices, dev_id, id)?;
-        }
-        let mut scratch_ids: Vec<(DeviceId, BufferId)> = scratch
-            .into_iter()
-            .map(|(r, id)| {
-                let owner = match r {
-                    DataRef::Output { node, .. } => graph.node(node).device,
-                    DataRef::Input(_) => unreachable!("scratch refs are node outputs"),
-                };
-                (owner, id)
-            })
-            .collect();
-        scratch_ids.sort_unstable();
-        for (dev_id, id) in scratch_ids {
-            hub.release(&mut self.devices, dev_id, id)?;
+        let staging = stream.staging.into_iter().map(|((_, d, _), id)| (d, id));
+        let scratch = stream.scratch.into_iter();
+        let scratch = scratch.map(|(r, id)| (output_device(graph, r), id));
+        for mut ids in [staging.collect::<Vec<_>>(), scratch.collect()] {
+            ids.sort_unstable();
+            for (dev_id, id) in ids {
+                run.hub.release(&mut self.devices, dev_id, id)?;
+            }
         }
         for &dev_id in &devices_used {
-            tally.drain_serial(self.devices.get_mut(dev_id)?.as_mut(), stats);
+            run.drain(self.devices.get_mut(dev_id)?.as_mut());
         }
         Ok(())
     }
@@ -1917,153 +1631,91 @@ impl Executor {
     /// (Algorithm 1's inner loop). Returns the chunk's transfer/compute
     /// cost pair for the model's makespan computation, alongside the
     /// fault-free modeled duration the watchdog budgets against.
-    #[allow(clippy::too_many_arguments)]
     fn run_one_chunk(
         &mut self,
-        graph: &PrimitiveGraph,
-        pipeline: &Pipeline,
-        inputs: &QueryInputs,
-        cfg: ModelConfig,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
-        escaping: &HashSet<DataRef>,
-        staging: &HashMap<(usize, DeviceId, usize), BufferId>,
-        scratch: &mut HashMap<DataRef, BufferId>,
-        slot: usize,
-        offset: usize,
-        len: usize,
-        payloads: Vec<(usize, BufferData)>,
+        stream: &mut Stream,
+        run: &mut RunState,
+        chunk: Chunk,
     ) -> Result<ChunkOutcome> {
-        let mut cost = ChunkCost::default();
-        let mut clean_ns = 0.0_f64;
-        let scan = pipeline.scan.as_deref().expect("streaming");
+        let (graph, pipeline) = (stream.graph, stream.pipeline);
+        let inputs = run.inputs;
+        let slot = chunk.index % stream.slots;
+        let mut outcome = ChunkOutcome::default();
 
         // Upload this chunk into the staging buffers of every device that
         // consumes it, verifying each transfer's checksum end-to-end.
         let mut uploaded: HashMap<(usize, DeviceId), BufferId> = HashMap::new();
-        for (input_idx, payload) in payloads {
-            let mut devices_for_input: Vec<DeviceId> = staging
+        for (input_idx, payload) in chunk.payloads {
+            let mut devices_for_input: Vec<DeviceId> = stream
+                .staging
                 .keys()
                 .filter(|(i, _, s)| *i == input_idx && *s == slot)
                 .map(|(_, d, _)| *d)
                 .collect();
             devices_for_input.sort_unstable();
             for dev_id in devices_for_input {
-                let id = staging[&(input_idx, dev_id, slot)];
+                let id = stream.staging[&(input_idx, dev_id, slot)];
                 // A residency-cached copy of the scan column serves the
                 // chunk with a device-internal copy instead of a fresh
                 // host→device upload; otherwise fall back to the verified
                 // transfer path.
                 let gi = &graph.inputs()[input_idx];
                 let from_cache = match inputs.get(&gi.name) {
-                    Some(col) => hub.stage_chunk_from_cache(
+                    Some(col) => run.hub.stage_chunk_from_cache(
                         &mut self.devices,
                         dev_id,
                         id,
                         &gi.name,
                         col,
-                        offset,
-                        len,
+                        chunk.offset,
+                        chunk.len,
                     )?,
                     None => false,
                 };
                 if !from_cache {
-                    hub.place_verified(&mut self.devices, dev_id, id, payload.clone(), 0)?;
+                    run.hub
+                        .place_verified(&mut self.devices, dev_id, id, payload.clone(), 0)?;
                 }
                 uploaded.insert((input_idx, dev_id), id);
-                let (t, c, o, k) = tally.drain_split(self.devices.get_mut(dev_id)?.as_mut());
-                cost.transfer_ns += t + o;
-                cost.compute_ns += c;
-                clean_ns += k;
-                stats.transfer_ns += t;
-                stats.other_ns += o;
-                stats.compute_ns += c;
+                outcome.add(run.charge(self.devices.get_mut(dev_id)?.as_mut()));
             }
         }
 
         // Per-chunk scratch allocation for the naive chunked model
         // (Algorithm 1 calls prepare_memory inside the loop).
         let mut chunk_scratch: Vec<(DataRef, BufferId)> = Vec::new();
-        if !cfg.stage_once {
+        if !run.cfg.stage_once {
             for &node_id in &pipeline.nodes {
                 let node = graph.node(node_id).clone();
                 if node.kind.is_pipeline_breaker() {
                     continue;
                 }
-                for port in 0..node.output_count {
-                    let r = DataRef::Output {
-                        node: node.id,
-                        port,
-                    };
+                for (port, r) in node.output_refs() {
                     let semantic = graph.semantic_of(r);
-                    let id =
-                        hub.prepare_output_buffer(&mut self.devices, &node, port, semantic, len)?;
-                    scratch.insert(r, id);
+                    let id = run.hub.prepare_output_buffer(
+                        &mut self.devices,
+                        &node,
+                        port,
+                        semantic,
+                        chunk.len,
+                    )?;
+                    stream.scratch.insert(r, id);
                     chunk_scratch.push((r, id));
                 }
-                let (t, c, o, k) = tally.drain_split(self.devices.get_mut(node.device)?.as_mut());
-                cost.transfer_ns += t + o;
-                cost.compute_ns += c;
-                clean_ns += k;
-                stats.transfer_ns += t;
-                stats.other_ns += o;
-                stats.compute_ns += c;
+                outcome.add(run.charge(self.devices.get_mut(node.device)?.as_mut()));
             }
         }
 
         // Execute the pipeline's primitives over this chunk.
+        let scan = pipeline.scan.as_deref();
         for &node_id in &pipeline.nodes {
             let node = graph.node(node_id).clone();
-            let mut in_ids = Vec::with_capacity(node.inputs.len());
-            for &input in &node.inputs {
-                let id = match input {
-                    DataRef::Input(i) => {
-                        let gi = &graph.inputs()[i];
-                        if gi.scan.as_deref() == Some(scan) {
-                            *uploaded.get(&(i, node.device)).ok_or_else(|| {
-                                ExecError::Internal(format!(
-                                    "no staged chunk for input #{i} on {}",
-                                    node.device
-                                ))
-                            })?
-                        } else {
-                            // Whole (small) input: placed once, reused on
-                            // later chunks via the residency map.
-                            let col = inputs
-                                .get(&gi.name)
-                                .ok_or_else(|| ExecError::MissingInput(gi.name.clone()))?
-                                .clone();
-                            hub.load_whole_input(
-                                &mut self.devices,
-                                input,
-                                node.device,
-                                &gi.name,
-                                &col,
-                            )?
-                        }
-                    }
-                    DataRef::Output { .. } => {
-                        if let Some(&id) = scratch.get(&input) {
-                            id // same-pipeline scratch
-                        } else {
-                            // Materialized elsewhere (breaker output, earlier
-                            // pipeline, or escaped host accumulation).
-                            hub.router(&mut self.devices, input, node.device)?
-                        }
-                    }
-                };
-                in_ids.push(id);
-            }
+            let in_ids = self.bind_inputs(graph, &node, run, scan, &uploaded, &stream.scratch)?;
             let mut out_ids = Vec::with_capacity(node.output_count);
-            for port in 0..node.output_count {
-                let r = DataRef::Output {
-                    node: node.id,
-                    port,
-                };
-                if let Some(&id) = scratch.get(&r) {
+            for (_, r) in node.output_refs() {
+                if let Some(&id) = stream.scratch.get(&r) {
                     out_ids.push(id);
-                } else if let Some(id) = hub.resident(r, node.device) {
+                } else if let Some(id) = run.hub.resident(r, node.device) {
                     out_ids.push(id); // breaker accumulator
                 } else {
                     return Err(ExecError::Internal(format!(
@@ -2073,38 +1725,24 @@ impl Executor {
                 }
             }
             let saved = self.execute_node(&node, &in_ids, &out_ids)?;
-            stats.fusion_saved_transfer_ns += saved;
-            Self::note_intermediates(graph, &node, len, stats);
-            let (t, c, o, k) = tally.drain_split(self.devices.get_mut(node.device)?.as_mut());
-            cost.transfer_ns += t + o;
-            cost.compute_ns += c;
-            clean_ns += k;
-            stats.transfer_ns += t;
-            stats.other_ns += o;
-            stats.compute_ns += c;
-            stats.record_primitive(&node.label, c);
+            run.stats.fusion_saved_transfer_ns += saved;
+            Self::note_intermediates(graph, &node, chunk.len, &mut run.stats);
+            let lanes = run.charge(self.devices.get_mut(node.device)?.as_mut());
+            outcome.add(lanes);
+            run.stats.record_primitive(&node.label, lanes.compute);
 
             // Escaped scratch: pull this chunk's result back to the host
             // through the checksum-verified path.
-            for port in 0..node.output_count {
-                let r = DataRef::Output {
-                    node: node.id,
-                    port,
-                };
-                if !node.kind.is_pipeline_breaker() && escaping.contains(&r) {
-                    let id = scratch[&r];
+            for (_, r) in node.output_refs() {
+                if !node.kind.is_pipeline_breaker() && run.escaping.contains(&r) {
+                    let id = stream.scratch[&r];
                     let payload =
-                        hub.retrieve_verified(&mut self.devices, node.device, id, None, 0)?;
+                        run.hub
+                            .retrieve_verified(&mut self.devices, node.device, id, None, 0)?;
                     let semantic = graph.semantic_of(r);
-                    hub.host_accumulate(r, semantic, payload, offset, len)?;
-                    let (t, c, o, k) =
-                        tally.drain_split(self.devices.get_mut(node.device)?.as_mut());
-                    cost.transfer_ns += t + o;
-                    cost.compute_ns += c;
-                    clean_ns += k;
-                    stats.transfer_ns += t;
-                    stats.other_ns += o;
-                    stats.compute_ns += c;
+                    run.hub
+                        .host_accumulate(r, semantic, payload, chunk.offset, chunk.len)?;
+                    outcome.add(run.charge(self.devices.get_mut(node.device)?.as_mut()));
                 }
             }
         }
@@ -2112,24 +1750,63 @@ impl Executor {
         // Naive chunked model frees its per-chunk scratch again. Going
         // through `release` untracks the ids, so the final sweep never sees
         // (and double-deletes) buffers that died inside the chunk loop.
-        if !cfg.stage_once {
-            for (r, id) in chunk_scratch {
-                let node = match r {
-                    DataRef::Output { node, .. } => graph.node(node),
-                    _ => unreachable!(),
-                };
-                hub.release(&mut self.devices, node.device, id)?;
-                scratch.remove(&r);
-                let (t, c, o, k) = tally.drain_split(self.devices.get_mut(node.device)?.as_mut());
-                cost.transfer_ns += t + o;
-                cost.compute_ns += c;
-                clean_ns += k;
-                stats.transfer_ns += t;
-                stats.other_ns += o;
-                stats.compute_ns += c;
-            }
+        for (r, id) in chunk_scratch {
+            let dev_id = output_device(graph, r);
+            run.hub.release(&mut self.devices, dev_id, id)?;
+            stream.scratch.remove(&r);
+            outcome.add(run.charge(self.devices.get_mut(dev_id)?.as_mut()));
         }
-        Ok(ChunkOutcome { cost, clean_ns })
+        Ok(outcome)
+    }
+
+    /// Binds `node`'s inputs to buffer ids on `node.device`: columns of the
+    /// streamed `scan` come from this chunk's `staged` uploads (per input
+    /// and device), outputs of the same pipeline from `local`; any other
+    /// input is placed whole (reused on later chunks via the residency map)
+    /// and any other output routed from wherever it was materialized.
+    fn bind_inputs(
+        &mut self,
+        graph: &PrimitiveGraph,
+        node: &PrimitiveNode,
+        run: &mut RunState,
+        scan: Option<&str>,
+        staged: &HashMap<(usize, DeviceId), BufferId>,
+        local: &HashMap<DataRef, BufferId>,
+    ) -> Result<Vec<BufferId>> {
+        let mut in_ids = Vec::with_capacity(node.inputs.len());
+        for &input in &node.inputs {
+            let id = match input {
+                DataRef::Input(i) => {
+                    let gi = &graph.inputs()[i];
+                    if scan.is_some() && gi.scan.as_deref() == scan {
+                        *staged.get(&(i, node.device)).ok_or_else(|| {
+                            ExecError::Internal(format!(
+                                "no staged chunk for input #{i} on {}",
+                                node.device
+                            ))
+                        })?
+                    } else {
+                        let col = run
+                            .inputs
+                            .get(&gi.name)
+                            .ok_or_else(|| ExecError::MissingInput(gi.name.clone()))?;
+                        run.hub.load_whole_input(
+                            &mut self.devices,
+                            input,
+                            node.device,
+                            &gi.name,
+                            col,
+                        )?
+                    }
+                }
+                DataRef::Output { .. } => match local.get(&input) {
+                    Some(&id) => id,
+                    None => run.hub.router(&mut self.devices, input, node.device)?,
+                },
+            };
+            in_ids.push(id);
+        }
+        Ok(in_ids)
     }
 
     // ---- straggler watchdog & hedged execution ---------------------------
@@ -2146,18 +1823,13 @@ impl Executor {
     /// rescued); the hedge's allocations are reclaimed either way. Returns
     /// the chunk cost the makespan should see and the device time charged
     /// to the owning query (winner cost plus all hedge work).
-    #[allow(clippy::too_many_arguments)]
     fn watchdog_and_hedge(
         &mut self,
-        graph: &PrimitiveGraph,
-        pipeline: &Pipeline,
-        inputs: &QueryInputs,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
+        stream: &Stream,
+        run: &mut RunState,
         outcome: ChunkOutcome,
+        offset: usize,
         len: usize,
-        payloads: Option<&[(usize, BufferData)]>,
     ) -> (ChunkCost, f64) {
         let actual = outcome.cost.transfer_ns + outcome.cost.compute_ns;
         let Some(mult) = self.config.watchdog_multiplier else {
@@ -2169,25 +1841,22 @@ impl Executor {
             return (outcome.cost, actual);
         }
         // Watchdog fired: the chunk straggled past its budget.
-        stats.watchdog_fires += 1;
+        run.stats.watchdog_fires += 1;
         let budget_ns = mult * clean;
-        let primary = graph.node(pipeline.nodes[0]).device;
+        let pipeline = stream.pipeline;
+        let primary = stream.graph.node(pipeline.nodes[0]).device;
         if self.health.record_latency_overrun(primary, clean, actual) {
-            stats.breaker_trips += 1;
+            run.stats.breaker_trips += 1;
         }
-        let Some(payloads) = payloads else {
-            return (outcome.cost, actual);
-        };
         let est_bytes = (len.max(1) * 8) as u64;
-        let Some(alt) = self.hedge_target(graph, pipeline, primary, est_bytes) else {
+        let (alt, _) = self.rank_devices(stream.graph, &pipeline.nodes, primary, est_bytes);
+        let Some(alt) = alt else {
             // No alternate device can run this pipeline: the overrun is
             // recorded but the straggler's result stands.
             return (outcome.cost, actual);
         };
-        stats.hedged_launches += 1;
-        match self.hedge_chunk(
-            graph, pipeline, inputs, hub, stats, tally, alt, len, payloads,
-        ) {
+        run.stats.hedged_launches += 1;
+        match self.hedge_chunk(stream, run, alt, offset, len) {
             Ok(hedge) => {
                 let hedge_actual = hedge.transfer_ns + hedge.compute_ns;
                 if budget_ns + hedge_actual < actual {
@@ -2196,7 +1865,7 @@ impl Executor {
                     // at that instant — so the query is charged the winner's
                     // timeline (primary ran budget + hedge_actual before the
                     // cancel) plus the hedge device's own work.
-                    stats.hedge_wins += 1;
+                    run.stats.hedge_wins += 1;
                     let winner = ChunkCost {
                         transfer_ns: hedge.transfer_ns + budget_ns,
                         compute_ns: hedge.compute_ns,
@@ -2214,124 +1883,56 @@ impl Executor {
         }
     }
 
-    /// The best alternate device to hedge `pipeline`'s chunk onto: capable
-    /// of every node, not quarantined, ranked by recovery-aware placement
-    /// cost (modeled staging transfer plus retry and latency penalties),
-    /// lowest id on ties. `None` when no such device exists.
-    fn hedge_target(
-        &self,
-        graph: &PrimitiveGraph,
-        pipeline: &Pipeline,
-        primary: DeviceId,
-        est_bytes: u64,
-    ) -> Option<DeviceId> {
-        let mut best: Option<(f64, DeviceId)> = None;
-        for cand in self.devices.ids() {
-            if cand == primary || self.health.is_quarantined(cand) {
-                continue;
-            }
-            let Ok(dev) = self.devices.get(cand) else {
-                continue;
-            };
-            let sdk = dev.info().sdk;
-            let capable = pipeline.nodes.iter().all(|&n| {
-                let node = graph.node(n);
-                match self.tasks.resolve(node.kind, sdk, node.variant.as_deref()) {
-                    Some(c) => !self.health.kernel_known_broken(cand, &c.kernel_name()),
-                    None => false,
-                }
-            });
-            if !capable {
-                continue;
-            }
-            let penalty = self.health.retry_penalty_ns(cand) + self.health.latency_penalty_ns(cand);
-            let cost = dev.placement_cost_ns(est_bytes, penalty);
-            best = match best {
-                Some((bc, bid)) if bc.total_cmp(&cost).then(bid.cmp(&cand)).is_le() => {
-                    Some((bc, bid))
-                }
-                _ => Some((cost, cand)),
-            };
-        }
-        best.map(|(_, id)| id)
-    }
-
-    /// Runs a hedged duplicate of one chunk on `alt`, sandboxed: temporary
-    /// staging, fresh output buffers, nothing registered as resident, and
-    /// every allocation rolled back before returning — the primary's
-    /// committed data is untouched whether the hedge wins or loses.
+    /// Runs a hedged duplicate of the chunk `offset..offset + len` on
+    /// `alt`, sandboxed: temporary staging re-sliced from the scan columns,
+    /// fresh output buffers, nothing registered as resident, and every
+    /// allocation rolled back before returning — the primary's committed
+    /// data is untouched whether the hedge wins or loses.
     ///
     /// Mirrors the device-side work of the chunk (staging uploads, scratch,
     /// kernels); host accumulation of escaped outputs stays with the
     /// primary. Returns the duplicate's modeled cost for the race.
-    #[allow(clippy::too_many_arguments)]
     fn hedge_chunk(
         &mut self,
-        graph: &PrimitiveGraph,
-        pipeline: &Pipeline,
-        inputs: &QueryInputs,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
+        stream: &Stream,
+        run: &mut RunState,
         alt: DeviceId,
+        offset: usize,
         len: usize,
-        payloads: &[(usize, BufferData)],
     ) -> Result<ChunkCost> {
-        let scan = pipeline.scan.as_deref().expect("streaming");
-        let mark = hub.mark();
+        let (graph, pipeline) = (stream.graph, stream.pipeline);
+        let mark = run.hub.mark();
         let result = (|| -> Result<()> {
             // Stage the scan chunk on the hedge device (verified, like the
             // primary's uploads).
-            let mut staged: HashMap<usize, BufferId> = HashMap::new();
-            for (input_idx, payload) in payloads {
-                let id = hub.fresh_id();
+            let mut staged: HashMap<(usize, DeviceId), BufferId> = HashMap::new();
+            for (input_idx, payload) in slice_scan(&stream.scan_cols, offset, len) {
+                let id = run.hub.fresh_id();
                 self.devices
                     .get_mut(alt)?
                     .prepare_memory(id, (len.max(1) * 8) as u64)?;
-                hub.track_created(alt, id);
-                hub.place_verified(&mut self.devices, alt, id, payload.clone(), 0)?;
-                staged.insert(*input_idx, id);
+                run.hub.track_created(alt, id);
+                run.hub
+                    .place_verified(&mut self.devices, alt, id, payload, 0)?;
+                staged.insert((input_idx, alt), id);
             }
             // Mirror the pipeline's nodes onto the hedge device.
             let mut hedge_out: HashMap<DataRef, BufferId> = HashMap::new();
             for &node_id in &pipeline.nodes {
                 let mut node = graph.node(node_id).clone();
                 node.device = alt;
-                let mut in_ids = Vec::with_capacity(node.inputs.len());
-                for &input in &node.inputs {
-                    let id = match input {
-                        DataRef::Input(i) => {
-                            let gi = &graph.inputs()[i];
-                            if gi.scan.as_deref() == Some(scan) {
-                                *staged.get(&i).ok_or_else(|| {
-                                    ExecError::Internal(format!(
-                                        "no hedge-staged chunk for input #{i} on {alt}"
-                                    ))
-                                })?
-                            } else {
-                                let col = inputs
-                                    .get(&gi.name)
-                                    .ok_or_else(|| ExecError::MissingInput(gi.name.clone()))?
-                                    .clone();
-                                hub.load_whole_input(&mut self.devices, input, alt, &gi.name, &col)?
-                            }
-                        }
-                        DataRef::Output { .. } => match hedge_out.get(&input) {
-                            Some(&id) => id,
-                            None => hub.router(&mut self.devices, input, alt)?,
-                        },
-                    };
-                    in_ids.push(id);
-                }
+                let scan = pipeline.scan.as_deref();
+                let in_ids = self.bind_inputs(graph, &node, run, scan, &staged, &hedge_out)?;
                 let mut out_ids = Vec::with_capacity(node.output_count);
-                for port in 0..node.output_count {
-                    let r = DataRef::Output {
-                        node: node.id,
-                        port,
-                    };
+                for (port, r) in node.output_refs() {
                     let semantic = graph.semantic_of(r);
-                    let id =
-                        hub.prepare_output_buffer(&mut self.devices, &node, port, semantic, len)?;
+                    let id = run.hub.prepare_output_buffer(
+                        &mut self.devices,
+                        &node,
+                        port,
+                        semantic,
+                        len,
+                    )?;
                     hedge_out.insert(r, id);
                     out_ids.push(id);
                 }
@@ -2344,27 +1945,22 @@ impl Executor {
         // Everything the mirror burned — on the hedge device and on any
         // source device the router read from — is the duplicate's cost,
         // billed to the stats lanes like all other work.
-        let mut cost = ChunkCost::default();
+        let mut outcome = ChunkOutcome::default();
         for dev_id in self.devices.ids() {
             if let Ok(dev) = self.devices.get_mut(dev_id) {
-                let (t, c, o, _) = tally.drain_split(dev.as_mut());
-                cost.transfer_ns += t + o;
-                cost.compute_ns += c;
-                stats.transfer_ns += t;
-                stats.other_ns += o;
-                stats.compute_ns += c;
+                outcome.add(run.charge(dev.as_mut()));
             }
         }
         // Winner or loser, the duplicate's allocations are reclaimed (and
         // its residency entries dropped); the reclaim itself is billed like
         // any unwind.
-        hub.rollback_to(&mut self.devices, mark);
+        run.hub.rollback_to(&mut self.devices, mark);
         for dev_id in self.devices.ids() {
             if let Ok(dev) = self.devices.get_mut(dev_id) {
-                tally.drain_serial(dev.as_mut(), stats);
+                run.drain(dev.as_mut());
             }
         }
-        result.map(|()| cost)
+        result.map(|()| outcome.cost)
     }
 
     // ---- shared pieces ----------------------------------------------------
@@ -2381,11 +1977,8 @@ impl Executor {
         stats: &mut ExecutionStats,
     ) {
         if !node.kind.is_pipeline_breaker() {
-            for port in 0..node.output_count {
-                let semantic = graph.semantic_of(DataRef::Output {
-                    node: node.id,
-                    port,
-                });
+            for (_, r) in node.output_refs() {
+                let semantic = graph.semantic_of(r);
                 stats.intermediate_bytes +=
                     adamant_task::container::DataContainer::estimate_output_bytes(semantic, rows);
             }
@@ -2444,22 +2037,22 @@ impl Executor {
     fn collect_outputs(
         &mut self,
         graph: &PrimitiveGraph,
-        hub: &mut DataTransferHub,
-        stats: &mut ExecutionStats,
-        tally: &mut Tally,
+        run: &mut RunState,
     ) -> Result<QueryOutput> {
         let mut out = QueryOutput::new();
         for (name, r) in graph.outputs() {
-            if let Some(acc) = hub.take_host(*r) {
+            if let Some(acc) = run.hub.take_host(*r) {
                 out.insert(name.clone(), OutputData::from_buffer(acc.into_buffer()));
                 continue;
             }
             // Find any device holding it.
             let mut found = false;
             for dev_id in self.devices.ids() {
-                if let Some(id) = hub.resident(*r, dev_id) {
-                    let payload = hub.retrieve_verified(&mut self.devices, dev_id, id, None, 0)?;
-                    tally.drain_serial(self.devices.get_mut(dev_id)?.as_mut(), stats);
+                if let Some(id) = run.hub.resident(*r, dev_id) {
+                    let payload =
+                        run.hub
+                            .retrieve_verified(&mut self.devices, dev_id, id, None, 0)?;
+                    run.drain(self.devices.get_mut(dev_id)?.as_mut());
                     out.insert(name.clone(), OutputData::from_buffer(payload));
                     found = true;
                     break;
@@ -2490,7 +2083,190 @@ struct ChunkOutcome {
     clean_ns: f64,
 }
 
-/// Per-run accounting accumulators.
+impl ChunkOutcome {
+    /// Adds drained lanes: transfer and other time both occupy the copy
+    /// side of the chunk.
+    fn add(&mut self, lanes: Lanes) {
+        self.cost.transfer_ns += lanes.transfer + lanes.other;
+        self.cost.compute_ns += lanes.compute;
+        self.clean_ns += lanes.clean;
+    }
+}
+
+/// Modeled time drained from one device clock, split by lane, plus the
+/// fault-free modeled sum of the same events (the straggler watchdog's
+/// baseline).
+#[derive(Clone, Copy, Default)]
+struct Lanes {
+    transfer: f64,
+    compute: f64,
+    other: f64,
+    clean: f64,
+}
+
+/// One chunk of the scan, sliced on the transfer side for the execute
+/// side.
+struct Chunk {
+    /// 0-based position in the attempt's chunk sequence.
+    index: usize,
+    /// First scan row.
+    offset: usize,
+    len: usize,
+    /// `(graph input index, rows offset..offset + len)` per scan column.
+    payloads: Vec<(usize, BufferData)>,
+}
+
+/// The chunks of one streaming attempt from scan row `start` on, sized by
+/// `schedule`.
+fn slice_chunks(
+    cols: Vec<(usize, Arc<Vec<i64>>)>,
+    schedule: ChunkSchedule,
+    start: usize,
+    rows: usize,
+) -> impl Iterator<Item = Chunk> + Send {
+    let (mut index, mut offset) = (0, start);
+    std::iter::from_fn(move || {
+        (offset < rows).then(|| {
+            let len = schedule.rows_for(index).min(rows - offset);
+            let chunk = Chunk {
+                index,
+                offset,
+                len,
+                payloads: slice_scan(&cols, offset, len),
+            };
+            index += 1;
+            offset += len;
+            chunk
+        })
+    })
+}
+
+/// Rows `offset..offset + len` of each scan column.
+fn slice_scan(
+    cols: &[(usize, Arc<Vec<i64>>)],
+    offset: usize,
+    len: usize,
+) -> Vec<(usize, BufferData)> {
+    cols.iter()
+        .map(|(idx, col)| (*idx, BufferData::I64(col[offset..offset + len].to_vec())))
+        .collect()
+}
+
+/// Pipeline-scoped state of one streaming attempt.
+struct Stream<'g> {
+    graph: &'g PrimitiveGraph,
+    pipeline: &'g Pipeline,
+    /// The scan columns the pipeline streams, by graph input index.
+    scan_cols: Vec<(usize, Arc<Vec<i64>>)>,
+    /// Staging buffers per (scan input, consuming device, slot).
+    staging: HashMap<(usize, DeviceId, usize), BufferId>,
+    /// Staging slots per (scan input, device); chunk `i` uses slot
+    /// `i % slots`.
+    slots: usize,
+    /// Same-pipeline non-breaker outputs.
+    scratch: HashMap<DataRef, BufferId>,
+}
+
+/// Everything one [`Executor::run_with_deadline`] call threads through its
+/// loops. Lives only for the duration of that call.
+struct RunState<'a> {
+    inputs: &'a QueryInputs,
+    cfg: ModelConfig,
+    hub: DataTransferHub,
+    stats: ExecutionStats,
+    /// Modeled time on the serial timeline.
+    serial_ns: f64,
+    /// Makespans of the overlapped chunk loops.
+    overlap_ns: f64,
+    /// Streamed outputs consumed outside their pipeline (see
+    /// [`escaping_refs`]).
+    escaping: HashSet<DataRef>,
+    deadline_ns: Option<f64>,
+    cancel: CancelToken,
+    ckpt: CheckpointState,
+    /// Each device's fault counter when the run began, so the stats report
+    /// this run's injections only.
+    fault_base: BTreeMap<DeviceId, u64>,
+}
+
+impl RunState<'_> {
+    /// Cooperative check: called between chunks, between whole-mode nodes
+    /// and before each recovery attempt. The modeled time spent so far is
+    /// the run's timeline plus `streamed_ns` of the current chunk loop.
+    fn check(&mut self, streamed_ns: f64) -> Result<()> {
+        if self.cancel.is_cancelled() {
+            return Err(ExecError::Cancelled);
+        }
+        let spent_ns = self.serial_ns + self.overlap_ns + streamed_ns;
+        if let Some(budget_ns) = self.deadline_ns {
+            if spent_ns > budget_ns {
+                self.stats.deadline_aborts += 1;
+                return Err(ExecError::DeadlineExceeded {
+                    budget_ns,
+                    spent_ns,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// The stats lanes' total (`transfer + compute + other`).
+    fn lanes_ns(&self) -> f64 {
+        self.stats.transfer_ns + self.stats.compute_ns + self.stats.other_ns
+    }
+
+    /// Drains a device's events, folding everything into the serial total
+    /// and the stats lanes.
+    fn drain(&mut self, dev: &mut dyn Device) {
+        for e in dev.clock_mut().drain_events() {
+            self.serial_ns += e.duration_ns;
+            match e.lane {
+                Lane::TransferH2D | Lane::TransferD2H => self.stats.transfer_ns += e.duration_ns,
+                Lane::Compute => self.stats.compute_ns += e.duration_ns,
+                _ => self.stats.other_ns += e.duration_ns,
+            }
+        }
+    }
+
+    /// Drains a device's events into the stats lanes and returns them,
+    /// without adding to the serial total (the caller attributes them to a
+    /// chunk or a whole-mode slice).
+    fn charge(&mut self, dev: &mut dyn Device) -> Lanes {
+        let mut lanes = Lanes::default();
+        for e in dev.clock_mut().drain_events() {
+            match e.lane {
+                Lane::TransferH2D | Lane::TransferD2H => lanes.transfer += e.duration_ns,
+                Lane::Compute => lanes.compute += e.duration_ns,
+                _ => lanes.other += e.duration_ns,
+            }
+            lanes.clean += e.clean_ns;
+        }
+        self.stats.transfer_ns += lanes.transfer;
+        self.stats.other_ns += lanes.other;
+        self.stats.compute_ns += lanes.compute;
+        lanes
+    }
+
+    /// Folds one device's run totals — pool peak, bytes moved and faults
+    /// injected since the run began — into the stats. Called once per
+    /// device: for a dead one when it is unplugged, for the survivors at
+    /// the end of the run.
+    fn fold_device(&mut self, id: DeviceId, dev: &dyn Device) {
+        let name = &dev.info().name;
+        let stats = &mut self.stats;
+        stats
+            .peak_device_bytes
+            .insert(name.clone(), dev.pool().peak());
+        stats.bytes_h2d += dev.clock().bytes_h2d();
+        stats.bytes_d2h += dev.clock().bytes_d2h();
+        let base = self.fault_base.remove(&id).unwrap_or(0);
+        let delta = dev.fault_counters().total().saturating_sub(base);
+        if delta > 0 {
+            stats.device_faults.insert(name.clone(), delta);
+        }
+    }
+}
+
 /// Per-run checkpoint machinery: the configuration, the latest sealed
 /// snapshot, the cost-policy bookkeeping, and the resume cursor armed by
 /// `handle_device_loss` for the next restart-loop iteration. Lives only for
@@ -2561,80 +2337,41 @@ impl ResumeCursor {
     }
 }
 
-#[derive(Default)]
-struct Tally {
-    serial_ns: f64,
-    overlap_ns: f64,
+/// The distinct devices `pipeline`'s nodes are placed on, ascending.
+fn devices_of(graph: &PrimitiveGraph, pipeline: &Pipeline) -> Vec<DeviceId> {
+    let mut devs: Vec<DeviceId> = pipeline
+        .nodes
+        .iter()
+        .map(|&n| graph.node(n).device)
+        .collect();
+    devs.sort_unstable();
+    devs.dedup();
+    devs
 }
 
-impl Tally {
-    /// Drains a device's events, folding everything into the serial total
-    /// and the stats lanes.
-    fn drain_serial(&mut self, dev: &mut dyn Device, stats: &mut ExecutionStats) {
-        let events = dev.clock_mut().drain_events();
-        for e in events {
-            self.serial_ns += e.duration_ns;
-            match e.lane {
-                Lane::TransferH2D | Lane::TransferD2H => stats.transfer_ns += e.duration_ns,
-                Lane::Compute => stats.compute_ns += e.duration_ns,
-                _ => stats.other_ns += e.duration_ns,
-            }
-        }
-    }
-
-    /// Drains a device's events, returning `(transfer, compute, other,
-    /// clean)` without adding to the serial total (chunk-loop attribution).
-    /// `clean` is the fault-free modeled sum of the same events — the
-    /// baseline the straggler watchdog compares actual durations against.
-    fn drain_split(&mut self, dev: &mut dyn Device) -> (f64, f64, f64, f64) {
-        let events = dev.clock_mut().drain_events();
-        let (mut t, mut c, mut o, mut clean) = (0.0, 0.0, 0.0, 0.0);
-        for e in events {
-            match e.lane {
-                Lane::TransferH2D | Lane::TransferD2H => t += e.duration_ns,
-                Lane::Compute => c += e.duration_ns,
-                _ => o += e.duration_ns,
-            }
-            clean += e.clean_ns;
-        }
-        (t, c, o, clean)
+/// The device a node output lives on (scratch and accumulators are always
+/// node outputs).
+fn output_device(graph: &PrimitiveGraph, r: DataRef) -> DeviceId {
+    match r {
+        DataRef::Output { node, .. } => graph.node(node).device,
+        DataRef::Input(_) => unreachable!("scratch refs are node outputs"),
     }
 }
 
-/// The device a permanent-death (`Gone`) error names, whether it surfaced
-/// bare from a hub transfer/allocation or wrapped in a kernel failure —
-/// the trigger for run-level membership recovery.
-fn gone_device(e: &ExecError) -> Option<DeviceId> {
-    match e {
-        ExecError::Device(adamant_device::error::DeviceError::Gone { device }) => Some(*device),
-        ExecError::KernelFailed {
-            source: adamant_device::error::DeviceError::Gone { device },
-            ..
-        } => Some(*device),
-        _ => None,
-    }
-}
-
-/// Whether a device error is an out-of-memory condition (regular or pinned)
-/// — the class the chunk-size backoff can do something about.
-fn is_oom(e: &adamant_device::error::DeviceError) -> bool {
-    matches!(
-        e,
-        adamant_device::error::DeviceError::OutOfMemory { .. }
-            | adamant_device::error::DeviceError::OutOfPinnedMemory { .. }
-    )
-}
-
-/// Whether the pipeline contains a primitive that must see its scan in a
-/// single chunk — halving the chunk size could split a previously
+/// The first primitive in the pipeline that must see its scan in a single
+/// chunk, if any — halving the chunk size could split a previously
 /// single-chunk scan and break it.
-fn pipeline_is_order_sensitive(graph: &PrimitiveGraph, pipeline: &Pipeline) -> bool {
-    pipeline.nodes.iter().any(|&n| {
-        matches!(
-            graph.node(n).kind,
-            PrimitiveKind::Sort | PrimitiveKind::SortAgg | PrimitiveKind::PrefixSum
-        )
-    })
+fn order_sensitive_kind(graph: &PrimitiveGraph, pipeline: &Pipeline) -> Option<PrimitiveKind> {
+    pipeline
+        .nodes
+        .iter()
+        .map(|&n| graph.node(n).kind)
+        .find(|k| {
+            matches!(
+                k,
+                PrimitiveKind::Sort | PrimitiveKind::SortAgg | PrimitiveKind::PrefixSum
+            )
+        })
 }
 
 /// Data refs produced by non-breaker nodes of streaming pipelines that are

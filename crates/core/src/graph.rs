@@ -213,6 +213,14 @@ pub struct PrimitiveNode {
     pub label: String,
 }
 
+impl PrimitiveNode {
+    /// This node's outputs as `(port, data ref)` pairs.
+    pub(crate) fn output_refs(&self) -> impl Iterator<Item = (usize, DataRef)> {
+        let node = self.id;
+        (0..self.output_count).map(move |port| (port, DataRef::Output { node, port }))
+    }
+}
+
 /// An external input column.
 #[derive(Clone, Debug)]
 pub struct GraphInput {

@@ -71,9 +71,6 @@ pub struct HealthPolicy {
     /// Completed queries a `SlowOpen` breaker waits before a `HalfOpen`
     /// probe is admitted.
     pub slow_cooldown_queries: u32,
-    /// Master switch: when `false` the registry records nothing and reports
-    /// every device healthy (useful for A/B benchmarking the subsystem).
-    pub enabled: bool,
 }
 
 impl Default for HealthPolicy {
@@ -87,7 +84,6 @@ impl Default for HealthPolicy {
             slow_trip_ratio: 4.0,
             slow_trip_min_overruns: 3,
             slow_cooldown_queries: 2,
-            enabled: true,
         }
     }
 }
@@ -129,15 +125,80 @@ impl BreakerState {
     }
 }
 
-/// Per-device health record.
+/// One circuit breaker: the state machine device and kernel records share.
 #[derive(Clone, Debug, Default)]
-struct DeviceHealth {
+struct Breaker {
     state: BreakerState,
-    /// A `HalfOpen` probe pipeline is in flight this query.
+    /// A `HalfOpen` probe is in flight this query.
     probing: bool,
     /// The breaker tripped during the current query (its cool-down only
     /// starts counting from the *next* completed query).
     tripped_this_query: bool,
+}
+
+impl Breaker {
+    /// Moves to the quarantine `state` (`Open` or `SlowOpen`).
+    fn trip(&mut self, state: BreakerState) {
+        self.state = state;
+        self.probing = false;
+        self.tripped_this_query = true;
+    }
+
+    /// Re-opens the breaker for `cooldown_left` queries if a `HalfOpen`
+    /// probe is in flight; returns whether it did.
+    fn fail_probe(&mut self, cooldown_left: u32) -> bool {
+        let probing = self.state == BreakerState::HalfOpen && self.probing;
+        if probing {
+            self.trip(BreakerState::Open { cooldown_left });
+        }
+        probing
+    }
+
+    /// Closes the breaker if a `HalfOpen` probe is in flight; returns
+    /// whether it did.
+    fn close_probe(&mut self) -> bool {
+        let probing = self.state == BreakerState::HalfOpen && self.probing;
+        if probing {
+            self.state = BreakerState::Closed;
+            self.probing = false;
+        }
+        probing
+    }
+
+    /// End-of-query tick: clears the probe marker and counts a quarantine
+    /// cool-down (not the query that tripped it) down to `HalfOpen`.
+    fn tick(&mut self) {
+        self.probing = false;
+        if std::mem::take(&mut self.tripped_this_query) {
+            return;
+        }
+        if let BreakerState::Open { cooldown_left } | BreakerState::SlowOpen { cooldown_left } =
+            &mut self.state
+        {
+            *cooldown_left = cooldown_left.saturating_sub(1);
+            if *cooldown_left == 0 {
+                self.state = BreakerState::HalfOpen;
+            }
+        }
+    }
+
+    /// `HalfOpen` with no probe in flight yet.
+    fn probe_candidate(&self) -> bool {
+        self.state == BreakerState::HalfOpen && !self.probing
+    }
+
+    /// Marks a probe in flight if one may start; returns whether it did.
+    fn begin_probe(&mut self) -> bool {
+        let start = self.probe_candidate();
+        self.probing |= start;
+        start
+    }
+}
+
+/// Per-device health record.
+#[derive(Clone, Debug, Default)]
+struct DeviceHealth {
+    breaker: Breaker,
     consecutive_failures: u32,
     /// Distinct kernels seen in the current consecutive-failure streak.
     streak_kernels: BTreeSet<String>,
@@ -159,10 +220,7 @@ struct DeviceHealth {
 /// Per-`(device, kernel)` breaker record with its own trip/probe counters.
 #[derive(Clone, Debug, Default)]
 struct KernelHealth {
-    state: BreakerState,
-    /// A kernel probe is in flight this query.
-    probing: bool,
-    tripped_this_query: bool,
+    breaker: Breaker,
     consecutive_failures: u64,
     total_failures: u64,
     /// Times this kernel breaker tripped (`Closed → Open` or failed probe).
@@ -263,12 +321,11 @@ impl DeviceHealthRegistry {
     /// promoted to `Closed` by [`Self::record_success`]) instead of
     /// instantly absorbing a full share of placement.
     pub fn admit_half_open(&mut self, device: DeviceId) {
-        if !self.policy.enabled {
-            return;
-        }
-        let h = self.entry(device);
-        *h = DeviceHealth {
-            state: BreakerState::HalfOpen,
+        *self.entry(device) = DeviceHealth {
+            breaker: Breaker {
+                state: BreakerState::HalfOpen,
+                ..Breaker::default()
+            },
             ..DeviceHealth::default()
         };
     }
@@ -280,9 +337,6 @@ impl DeviceHealthRegistry {
     /// Records that a pipeline attempt is about to run on `device` (the
     /// denominator of the failure rate).
     pub fn record_attempt(&mut self, device: DeviceId) {
-        if !self.policy.enabled {
-            return;
-        }
         self.entry(device).total_attempts += 1;
     }
 
@@ -298,9 +352,6 @@ impl DeviceHealthRegistry {
         kernel: &str,
         wasted_ns: f64,
     ) -> FailureVerdict {
-        if !self.policy.enabled {
-            return FailureVerdict::default();
-        }
         let policy = self.policy;
         // Kernel-level breaker first.
         let k = self
@@ -309,55 +360,32 @@ impl DeviceHealthRegistry {
             .or_default();
         k.total_failures += 1;
         k.consecutive_failures += 1;
-        let kernel_tripped = match k.state {
-            BreakerState::HalfOpen if k.probing => {
-                k.state = BreakerState::Open {
-                    cooldown_left: policy.kernel_cooldown_queries,
-                };
-                k.probing = false;
-                k.tripped_this_query = true;
-                k.trips += 1;
-                true
-            }
-            BreakerState::Closed
-                if k.consecutive_failures >= policy.broken_kernel_threshold.max(1) =>
-            {
-                k.state = BreakerState::Open {
-                    cooldown_left: policy.kernel_cooldown_queries,
-                };
-                k.tripped_this_query = true;
-                k.trips += 1;
-                true
-            }
-            _ => false,
-        };
+        // A failed probe re-opens the breaker; a closed one opens at the
+        // threshold (re-tripping an opened breaker is a no-op).
+        let kernel_tripped = k.breaker.fail_probe(policy.kernel_cooldown_queries)
+            || (k.breaker.state == BreakerState::Closed
+                && k.consecutive_failures >= policy.broken_kernel_threshold.max(1));
+        if kernel_tripped {
+            k.breaker.trip(BreakerState::Open {
+                cooldown_left: policy.kernel_cooldown_queries,
+            });
+            k.trips += 1;
+        }
         // Device-level aggregates and breaker.
         let h = self.entry(device);
         h.total_failures += 1;
         h.consecutive_failures += 1;
         h.streak_kernels.insert(kernel.to_string());
         h.wasted_retry_ns += wasted_ns.max(0.0);
-        let device_tripped = match h.state {
-            BreakerState::HalfOpen if h.probing => {
-                h.state = BreakerState::Open {
-                    cooldown_left: policy.cooldown_queries,
-                };
-                h.probing = false;
-                h.tripped_this_query = true;
-                true
-            }
-            BreakerState::Closed
-                if h.consecutive_failures >= policy.failure_threshold.max(1)
-                    && h.streak_kernels.len() >= policy.device_trip_min_kernels.max(1) as usize =>
-            {
-                h.state = BreakerState::Open {
-                    cooldown_left: policy.cooldown_queries,
-                };
-                h.tripped_this_query = true;
-                true
-            }
-            _ => false,
-        };
+        let device_tripped = h.breaker.fail_probe(policy.cooldown_queries)
+            || (h.breaker.state == BreakerState::Closed
+                && h.consecutive_failures >= policy.failure_threshold.max(1)
+                && h.streak_kernels.len() >= policy.device_trip_min_kernels.max(1) as usize);
+        if device_tripped {
+            h.breaker.trip(BreakerState::Open {
+                cooldown_left: policy.cooldown_queries,
+            });
+        }
         FailureVerdict {
             device_tripped,
             kernel_tripped,
@@ -370,23 +398,12 @@ impl DeviceHealthRegistry {
     /// it *does* fail an in-flight `HalfOpen` device probe. Returns `true`
     /// when the probe was failed (breaker re-opened).
     pub fn record_oom(&mut self, device: DeviceId, wasted_ns: f64) -> bool {
-        if !self.policy.enabled {
-            return false;
-        }
         let cooldown = self.policy.cooldown_queries;
         let h = self.entry(device);
         h.ooms += 1;
         h.total_failures += 1;
         h.wasted_retry_ns += wasted_ns.max(0.0);
-        if h.state == BreakerState::HalfOpen && h.probing {
-            h.state = BreakerState::Open {
-                cooldown_left: cooldown,
-            };
-            h.probing = false;
-            h.tripped_this_query = true;
-            return true;
-        }
-        false
+        h.breaker.fail_probe(cooldown)
     }
 
     /// Records a successful pipeline execution on `device`. Returns `true`
@@ -394,15 +411,10 @@ impl DeviceHealthRegistry {
     /// restored to `Closed` and the device's failure memory — including its
     /// kernel breakers — cleared).
     pub fn record_success(&mut self, device: DeviceId) -> bool {
-        if !self.policy.enabled {
-            return false;
-        }
         let h = self.entry(device);
         h.consecutive_failures = 0;
         h.streak_kernels.clear();
-        if h.state == BreakerState::HalfOpen && h.probing {
-            h.state = BreakerState::Closed;
-            h.probing = false;
+        if h.breaker.close_probe() {
             h.total_failures = 0;
             h.ooms = 0;
             h.wasted_retry_ns = 0.0;
@@ -424,25 +436,20 @@ impl DeviceHealthRegistry {
     /// the device is still bad — the device's wasted-time memory cleared
     /// too).
     pub fn record_kernel_success(&mut self, device: DeviceId, kernel: &str) -> bool {
-        if !self.policy.enabled {
-            return false;
-        }
         let Some(k) = self.kernels.get_mut(&(device, kernel.to_string())) else {
             return false;
         };
         k.consecutive_failures = 0;
-        if k.state == BreakerState::HalfOpen && k.probing {
-            k.state = BreakerState::Closed;
-            k.probing = false;
+        if k.breaker.close_probe() {
             k.total_failures = 0;
             let all_clear = self
                 .kernels
                 .iter()
                 .filter(|((d, _), _)| *d == device)
-                .all(|(_, k)| k.state == BreakerState::Closed && k.total_failures == 0);
+                .all(|(_, k)| k.breaker.state == BreakerState::Closed && k.total_failures == 0);
             if all_clear {
                 if let Some(h) = self.devices.get_mut(&device) {
-                    if h.state == BreakerState::Closed {
+                    if h.breaker.state == BreakerState::Closed {
                         h.total_failures = 0;
                         h.ooms = 0;
                         h.wasted_retry_ns = 0.0;
@@ -466,9 +473,6 @@ impl DeviceHealthRegistry {
         clean_ns: f64,
         actual_ns: f64,
     ) -> bool {
-        if !self.policy.enabled {
-            return false;
-        }
         let policy = self.policy;
         let h = self.entry(device);
         let ratio = if clean_ns > 0.0 {
@@ -485,17 +489,15 @@ impl DeviceHealthRegistry {
             h.overrun_ns_ewma = 0.5 * h.overrun_ns_ewma + 0.5 * excess;
         }
         h.latency_overruns = h.latency_overruns.saturating_add(1);
-        if h.state == BreakerState::Closed
+        let tripped = h.breaker.state == BreakerState::Closed
             && h.latency_overruns >= policy.slow_trip_min_overruns.max(1)
-            && h.slow_ratio_ewma >= policy.slow_trip_ratio
-        {
-            h.state = BreakerState::SlowOpen {
+            && h.slow_ratio_ewma >= policy.slow_trip_ratio;
+        if tripped {
+            h.breaker.trip(BreakerState::SlowOpen {
                 cooldown_left: policy.slow_cooldown_queries,
-            };
-            h.tripped_this_query = true;
-            return true;
+            });
         }
-        false
+        tripped
     }
 
     /// Records a detected transfer corruption on `device` (checksum
@@ -503,9 +505,6 @@ impl DeviceHealthRegistry {
     /// retransmit/re-placement protocol owns recovery — but they are
     /// remembered for reports and snapshots.
     pub fn record_corruption(&mut self, device: DeviceId) {
-        if !self.policy.enabled {
-            return;
-        }
         self.entry(device).corruptions += 1;
     }
 
@@ -515,9 +514,6 @@ impl DeviceHealthRegistry {
     /// [`Self::retry_penalty_ns`] when ranking placement candidates, so
     /// chronically slow devices lose ties.
     pub fn latency_penalty_ns(&self, device: DeviceId) -> f64 {
-        if !self.policy.enabled {
-            return 0.0;
-        }
         self.devices
             .get(&device)
             .map(|h| {
@@ -533,87 +529,63 @@ impl DeviceHealthRegistry {
     /// Whether `device` is quarantined (device breaker `Open` or
     /// `SlowOpen`).
     pub fn is_quarantined(&self, device: DeviceId) -> bool {
-        self.policy.enabled
-            && matches!(
-                self.devices.get(&device).map(|h| h.state),
-                Some(BreakerState::Open { .. } | BreakerState::SlowOpen { .. })
-            )
+        matches!(
+            self.devices.get(&device).map(|h| h.breaker.state),
+            Some(BreakerState::Open { .. } | BreakerState::SlowOpen { .. })
+        )
     }
 
     /// Whether `device` is `HalfOpen` (only a probe pipeline may use it).
     pub fn is_half_open(&self, device: DeviceId) -> bool {
-        self.policy.enabled
-            && matches!(
-                self.devices.get(&device).map(|h| h.state),
-                Some(BreakerState::HalfOpen)
-            )
+        matches!(
+            self.devices.get(&device).map(|h| h.breaker.state),
+            Some(BreakerState::HalfOpen)
+        )
     }
 
     /// Whether `device` is `HalfOpen` with no probe in flight yet — the next
     /// pipeline placed there may be admitted via [`Self::begin_probe`].
     pub fn probe_candidate(&self, device: DeviceId) -> bool {
-        self.policy.enabled
-            && self
-                .devices
-                .get(&device)
-                .map(|h| h.state == BreakerState::HalfOpen && !h.probing)
-                .unwrap_or(false)
+        self.devices
+            .get(&device)
+            .is_some_and(|h| h.breaker.probe_candidate())
     }
 
     /// Marks the `HalfOpen` probe on `device` as in flight.
     pub fn begin_probe(&mut self, device: DeviceId) {
-        if !self.policy.enabled {
-            return;
-        }
-        let h = self.entry(device);
-        if h.state == BreakerState::HalfOpen {
-            h.probing = true;
-        }
+        self.entry(device).breaker.begin_probe();
     }
 
     /// Whether the `(device, kernel)` breaker is `Open` — placement and
     /// fallback must not pick such a candidate for work that runs this
     /// kernel, even though the device itself may be healthy.
     pub fn kernel_known_broken(&self, device: DeviceId, kernel: &str) -> bool {
-        self.policy.enabled
-            && matches!(
-                self.kernels
-                    .get(&(device, kernel.to_string()))
-                    .map(|k| k.state),
-                Some(BreakerState::Open { .. })
-            )
+        matches!(
+            self.kernel_state(device, kernel),
+            Some(BreakerState::Open { .. })
+        )
     }
 
     /// The `(device, kernel)` breaker state, if any failures were recorded.
     pub fn kernel_state(&self, device: DeviceId, kernel: &str) -> Option<BreakerState> {
-        if !self.policy.enabled {
-            return None;
-        }
         self.kernels
             .get(&(device, kernel.to_string()))
-            .map(|k| k.state)
+            .map(|k| k.breaker.state)
     }
 
     /// Whether the `(device, kernel)` breaker is `HalfOpen` with no probe in
     /// flight — the next pipeline resolving this kernel there may be
     /// admitted via [`Self::begin_kernel_probe`].
     pub fn kernel_probe_candidate(&self, device: DeviceId, kernel: &str) -> bool {
-        self.policy.enabled
-            && self
-                .kernels
-                .get(&(device, kernel.to_string()))
-                .map(|k| k.state == BreakerState::HalfOpen && !k.probing)
-                .unwrap_or(false)
+        self.kernels
+            .get(&(device, kernel.to_string()))
+            .is_some_and(|k| k.breaker.probe_candidate())
     }
 
     /// Marks the `HalfOpen` probe of `(device, kernel)` as in flight.
     pub fn begin_kernel_probe(&mut self, device: DeviceId, kernel: &str) {
-        if !self.policy.enabled {
-            return;
-        }
         if let Some(k) = self.kernels.get_mut(&(device, kernel.to_string())) {
-            if k.state == BreakerState::HalfOpen && !k.probing {
-                k.probing = true;
+            if k.breaker.begin_probe() {
                 k.probes += 1;
             }
         }
@@ -621,12 +593,11 @@ impl DeviceHealthRegistry {
 
     /// Kernels currently quarantined (`Open`) on `device`.
     pub fn open_kernels(&self, device: DeviceId) -> u64 {
-        if !self.policy.enabled {
-            return 0;
-        }
         self.kernels
             .iter()
-            .filter(|((d, _), k)| *d == device && matches!(k.state, BreakerState::Open { .. }))
+            .filter(|((d, _), k)| {
+                *d == device && matches!(k.breaker.state, BreakerState::Open { .. })
+            })
             .count() as u64
     }
 
@@ -634,9 +605,6 @@ impl DeviceHealthRegistry {
     /// nanoseconds: observed failure rate × average modeled time wasted per
     /// failure. Zero for devices with no recorded failures.
     pub fn retry_penalty_ns(&self, device: DeviceId) -> f64 {
-        if !self.policy.enabled {
-            return 0.0;
-        }
         let Some(h) = self.devices.get(&device) else {
             return 0.0;
         };
@@ -649,18 +617,20 @@ impl DeviceHealthRegistry {
         h.wasted_retry_ns / h.total_attempts.max(h.total_failures) as f64
     }
 
+    /// The penalty placement ranks a candidate device by: the expected
+    /// retry cost plus the latency penalty, so flaky and chronically slow
+    /// devices both lose ties.
+    pub fn placement_penalty_ns(&self, device: DeviceId) -> f64 {
+        self.retry_penalty_ns(device) + self.latency_penalty_ns(device)
+    }
+
     /// Ids currently quarantined (device breaker `Open` or `SlowOpen`),
     /// ascending.
     pub fn quarantined_ids(&self) -> Vec<DeviceId> {
         self.devices
-            .iter()
-            .filter(|(_, h)| {
-                matches!(
-                    h.state,
-                    BreakerState::Open { .. } | BreakerState::SlowOpen { .. }
-                )
-            })
-            .map(|(&id, _)| id)
+            .keys()
+            .copied()
+            .filter(|&id| self.is_quarantined(id))
             .collect()
     }
 
@@ -668,37 +638,9 @@ impl DeviceHealthRegistry {
     /// and kernel breakers (except those tripped during this query) count
     /// down and half-open at zero; stale probe markers are cleared.
     pub fn on_query_completed(&mut self) {
-        if !self.policy.enabled {
-            return;
-        }
-        for h in self.devices.values_mut() {
-            h.probing = false;
-            if h.tripped_this_query {
-                h.tripped_this_query = false;
-                continue;
-            }
-            if let BreakerState::Open { cooldown_left } | BreakerState::SlowOpen { cooldown_left } =
-                &mut h.state
-            {
-                *cooldown_left = cooldown_left.saturating_sub(1);
-                if *cooldown_left == 0 {
-                    h.state = BreakerState::HalfOpen;
-                }
-            }
-        }
-        for k in self.kernels.values_mut() {
-            k.probing = false;
-            if k.tripped_this_query {
-                k.tripped_this_query = false;
-                continue;
-            }
-            if let BreakerState::Open { cooldown_left } = &mut k.state {
-                *cooldown_left = cooldown_left.saturating_sub(1);
-                if *cooldown_left == 0 {
-                    k.state = BreakerState::HalfOpen;
-                }
-            }
-        }
+        let devices = self.devices.values_mut().map(|h| &mut h.breaker);
+        let kernels = self.kernels.values_mut().map(|k| &mut k.breaker);
+        devices.chain(kernels).for_each(Breaker::tick);
     }
 
     /// Deterministic per-device snapshot for reports.
@@ -709,7 +651,7 @@ impl DeviceHealthRegistry {
                 (
                     id,
                     HealthSnapshot {
-                        state: h.state,
+                        state: h.breaker.state,
                         kernel_failures: h.total_failures - h.ooms,
                         ooms: h.ooms,
                         retry_penalty_ns: self.retry_penalty_ns(id),
@@ -730,7 +672,7 @@ impl DeviceHealthRegistry {
                 (
                     (*d, name.clone()),
                     KernelSnapshot {
-                        state: k.state,
+                        state: k.breaker.state,
                         failures: k.total_failures,
                         trips: k.trips,
                         probes: k.probes,
@@ -950,22 +892,6 @@ mod tests {
         r.record_kernel_failure(D, "k", 1000.0);
         assert!((r.retry_penalty_ns(D) - 250.0).abs() < 1e-9);
         assert_eq!(r.retry_penalty_ns(DeviceId(7)), 0.0);
-    }
-
-    #[test]
-    fn disabled_policy_records_nothing() {
-        let mut r = DeviceHealthRegistry::new(HealthPolicy {
-            enabled: false,
-            ..HealthPolicy::default()
-        });
-        r.record_attempt(D);
-        r.record_kernel_failure(D, "k", 1.0);
-        r.record_kernel_failure(D, "k", 1.0);
-        assert!(!r.is_quarantined(D));
-        assert!(!r.kernel_known_broken(D, "k"));
-        assert_eq!(r.retry_penalty_ns(D), 0.0);
-        assert!(r.snapshot().is_empty());
-        assert!(r.kernel_snapshot().is_empty());
     }
 
     #[test]

@@ -366,42 +366,3 @@ fn chunk_size_regrows_after_backoff() {
         assert_eq!(used, 0, "{model:?}: leaked {used} bytes");
     }
 }
-
-/// Disabling the health policy turns the whole subsystem off: the same
-/// broken-device scenario records no breaker activity and query 2 blindly
-/// retries the broken device again.
-#[test]
-fn disabled_health_policy_is_inert() {
-    let data = test_data(100);
-    let mut engine = Adamant::builder()
-        .chunk_rows(32)
-        // Fault scripting targets the unfused kernel names / allocation
-        // ordinals, so run this scenario with fusion off.
-        .fusion(false)
-        .device(DeviceProfile::cuda_rtx2080ti())
-        .device(DeviceProfile::opencl_cpu_i7())
-        .fault_plan(0, FaultPlan::none().broken_kernel("agg_block"))
-        .health_policy(HealthPolicy {
-            enabled: false,
-            ..HealthPolicy::default()
-        })
-        .build()
-        .unwrap();
-    let dev0 = engine.device_ids()[0];
-    let graph = filter_map_sum(dev0, 0, 2);
-    let mut inputs = QueryInputs::new();
-    inputs.bind("x", data.clone());
-    for query in 0..2 {
-        let (out, stats) = engine
-            .run(&graph, &inputs, ExecutionModel::Chunked)
-            .unwrap();
-        assert_eq!(out.i64_column("sum")[0], expected_sum(&data, 0, 2));
-        assert_eq!(stats.breaker_trips, 0, "query {query}");
-        assert_eq!(stats.quarantine_skips, 0, "query {query}");
-        assert!(
-            stats.retries >= 2,
-            "query {query}: with health off every query must rediscover the fault"
-        );
-        assert!(stats.device_health.is_empty(), "query {query}");
-    }
-}
