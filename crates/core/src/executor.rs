@@ -12,6 +12,7 @@ use crate::checkpoint::{CheckpointConfig, QueryCheckpoint};
 use crate::error::{classify, ExecError, FailureClass, Result};
 use crate::graph::{DataRef, NodeId, PrimitiveGraph, PrimitiveNode};
 use crate::hub::{DataTransferHub, HostAccum};
+pub use crate::inputs::QueryInputs;
 use crate::models::{ExecutionModel, ModelConfig};
 use crate::pipeline::{Pipeline, PipelineSet};
 use crate::residency::{ResidencyCache, ResidencyConfig};
@@ -25,7 +26,6 @@ use adamant_device::health::{DeviceHealthRegistry, FailureVerdict, HealthPolicy}
 use adamant_device::kernel::ExecuteSpec;
 use adamant_device::profiles::DeviceProfile;
 use adamant_device::registry::DeviceRegistry;
-use adamant_storage::column::Column;
 use adamant_task::primitive::PrimitiveKind;
 use adamant_task::registry::TaskRegistry;
 use adamant_task::semantics::DataSemantic;
@@ -181,52 +181,6 @@ impl ChunkSchedule {
     /// new size).
     fn regrows_at(&self, chunk: usize) -> bool {
         chunk > 0 && self.rows_for(chunk) > self.rows_for(chunk - 1)
-    }
-}
-
-/// Host columns bound to graph inputs, shareable with the transfer thread.
-#[derive(Clone, Debug, Default)]
-pub struct QueryInputs {
-    cols: BTreeMap<String, Arc<Vec<i64>>>,
-}
-
-impl QueryInputs {
-    /// Creates an empty binding set.
-    pub fn new() -> Self {
-        QueryInputs::default()
-    }
-
-    /// Binds a raw vector.
-    pub fn bind(&mut self, name: impl Into<String>, values: Vec<i64>) {
-        self.cols.insert(name.into(), Arc::new(values));
-    }
-
-    /// Binds a storage column (widened to `i64`; dictionary columns bind
-    /// their codes).
-    pub fn bind_column(&mut self, name: impl Into<String>, column: &Column) -> Result<()> {
-        self.cols
-            .insert(name.into(), Arc::new(column.to_i64_vec()?));
-        Ok(())
-    }
-
-    /// Looks up a bound column.
-    pub fn get(&self, name: &str) -> Option<&Arc<Vec<i64>>> {
-        self.cols.get(name)
-    }
-
-    /// Number of bound columns.
-    pub fn len(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// True when nothing is bound.
-    pub fn is_empty(&self) -> bool {
-        self.cols.is_empty()
-    }
-
-    /// Iterates bound `(name, column)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<Vec<i64>>)> {
-        self.cols.iter().map(|(n, c)| (n.as_str(), c))
     }
 }
 
@@ -1398,7 +1352,7 @@ impl Executor {
                 if let DataRef::Input(i) = input {
                     if graph.inputs()[i].scan.as_deref() == Some(scan.as_str()) && seen.insert(i) {
                         let col = run.inputs.get(&graph.inputs()[i].name).expect("validated");
-                        scan_cols.push((i, Arc::clone(col)));
+                        scan_cols.push((i, Arc::clone(col.values())));
                     }
                 }
             }

@@ -16,6 +16,7 @@
 
 use crate::error::{ExecError, Result};
 use crate::graph::{DataRef, NodeParams, PrimitiveNode};
+use crate::inputs::BoundColumn;
 use crate::residency::ResidencyCache;
 use adamant_device::buffer::{BufferData, BufferId};
 use adamant_device::clock::Lane;
@@ -589,7 +590,7 @@ impl DataTransferHub {
         data: DataRef,
         target: DeviceId,
         name: &str,
-        column: &[i64],
+        column: &BoundColumn,
     ) -> Result<BufferId> {
         if let Some(id) = self.resident(data, target) {
             return Ok(id);
@@ -613,7 +614,8 @@ impl DataTransferHub {
         }
         let id = self.fresh_id();
         self.track_created(target, id);
-        self.place_verified(devices, target, id, BufferData::I64(column.to_vec()), 0)?;
+        let payload = BufferData::I64(column.values().to_vec());
+        self.place_verified(devices, target, id, payload, 0)?;
         self.register_resident(data, target, id);
         Ok(id)
     }
@@ -628,7 +630,7 @@ impl DataTransferHub {
         devices: &mut DeviceRegistry,
         target: DeviceId,
         name: &str,
-        column: &[i64],
+        column: &BoundColumn,
     ) -> Result<Option<(BufferId, bool)>> {
         let bytes = (column.len() as u64) * 8;
         let transfer_ns = devices
@@ -641,13 +643,14 @@ impl DataTransferHub {
             self.cache = Some(cache);
             return Ok(Some((id, true)));
         }
-        let Some(id) = cache.begin_pin(devices, target, column) else {
+        let Some(id) = cache.begin_pin(devices, target, column.values()) else {
             self.absorb_cache_frees(&mut cache);
             self.cache = Some(cache);
             return Ok(None);
         };
         self.absorb_cache_frees(&mut cache);
-        match self.place_verified(devices, target, id, BufferData::I64(column.to_vec()), 0) {
+        let payload = BufferData::I64(column.values().to_vec());
+        match self.place_verified(devices, target, id, payload, 0) {
             Ok(()) => {
                 cache.commit_pin(target, name, column, id, transfer_ns);
                 self.cache = Some(cache);
@@ -688,7 +691,7 @@ impl DataTransferHub {
         device: DeviceId,
         staging: BufferId,
         name: &str,
-        column: &[i64],
+        column: &BoundColumn,
         offset: usize,
         len: usize,
     ) -> Result<bool> {
@@ -985,6 +988,10 @@ mod tests {
     use super::*;
     use adamant_device::profiles::DeviceProfile;
 
+    fn bound(values: &[i64]) -> BoundColumn {
+        BoundColumn::new(values.to_vec())
+    }
+
     fn two_devices() -> (DeviceRegistry, DeviceId, DeviceId) {
         let mut reg = DeviceRegistry::new();
         let a = reg.add(Box::new(DeviceProfile::cuda_rtx2080ti().build(DeviceId(0))));
@@ -997,7 +1004,7 @@ mod tests {
         let (mut devices, gpu, cpu) = two_devices();
         let mut hub = DataTransferHub::new();
         let data = DataRef::Input(0);
-        let col = vec![1i64, 2, 3];
+        let col = bound(&[1, 2, 3]);
         let id_gpu = hub
             .load_whole_input(&mut devices, data, gpu, "in0", &col)
             .unwrap();
@@ -1102,8 +1109,14 @@ mod tests {
     fn delete_phase_frees_everything() {
         let (mut devices, gpu, _) = two_devices();
         let mut hub = DataTransferHub::new();
-        hub.load_whole_input(&mut devices, DataRef::Input(0), gpu, "in0", &[1, 2, 3])
-            .unwrap();
+        hub.load_whole_input(
+            &mut devices,
+            DataRef::Input(0),
+            gpu,
+            "in0",
+            &bound(&[1, 2, 3]),
+        )
+        .unwrap();
         assert!(devices.get(gpu).unwrap().pool().used() > 0);
         hub.delete_all(&mut devices);
         assert_eq!(devices.get(gpu).unwrap().pool().used(), 0);
@@ -1120,7 +1133,7 @@ mod tests {
         let c = devices.add(Box::new(DeviceProfile::opencl_cpu_i7().build(DeviceId(2))));
         let mut hub = DataTransferHub::new();
         let data = DataRef::Input(0);
-        let col = vec![7i64; 64];
+        let col = bound(&[7; 64]);
         hub.load_whole_input(&mut devices, data, b, "in0", &col)
             .unwrap();
         hub.load_whole_input(&mut devices, data, c, "in0", &col)
@@ -1182,13 +1195,13 @@ mod tests {
         let (mut devices, gpu, _) = two_devices();
         let mut hub = DataTransferHub::new();
         let kept = DataRef::Input(0);
-        hub.load_whole_input(&mut devices, kept, gpu, "in0", &[1, 2, 3])
+        hub.load_whole_input(&mut devices, kept, gpu, "in0", &bound(&[1, 2, 3]))
             .unwrap();
         let used_before = devices.get(gpu).unwrap().pool().used();
         let mark = hub.mark();
 
         let rolled = DataRef::Input(1);
-        hub.load_whole_input(&mut devices, rolled, gpu, "in0", &[4; 100])
+        hub.load_whole_input(&mut devices, rolled, gpu, "in0", &bound(&[4; 100]))
             .unwrap();
         assert!(devices.get(gpu).unwrap().pool().used() > used_before);
 
@@ -1208,7 +1221,7 @@ mod tests {
         let mut hub = DataTransferHub::new();
         let data = DataRef::Input(0);
         let id = hub
-            .load_whole_input(&mut devices, data, gpu, "in0", &[1, 2, 3])
+            .load_whole_input(&mut devices, data, gpu, "in0", &bound(&[1, 2, 3]))
             .unwrap();
         hub.release(&mut devices, gpu, id).unwrap();
         assert_eq!(devices.get(gpu).unwrap().pool().used(), 0);
@@ -1229,7 +1242,13 @@ mod tests {
             .set_fault_plan(FaultPlan::none().corrupt_on_place(1));
         let mut hub = DataTransferHub::new();
         let id = hub
-            .load_whole_input(&mut devices, DataRef::Input(0), gpu, "in0", &[1, 2, 3, 4])
+            .load_whole_input(
+                &mut devices,
+                DataRef::Input(0),
+                gpu,
+                "in0",
+                &bound(&[1, 2, 3, 4]),
+            )
             .unwrap();
         // The first transmission was corrupted; the hub retransmitted.
         let log = hub.take_corruption_retransmits();
@@ -1251,7 +1270,13 @@ mod tests {
         let (mut devices, gpu, _) = two_devices();
         let mut hub = DataTransferHub::new();
         let id = hub
-            .load_whole_input(&mut devices, DataRef::Input(0), gpu, "in0", &[9, 8, 7])
+            .load_whole_input(
+                &mut devices,
+                DataRef::Input(0),
+                gpu,
+                "in0",
+                &bound(&[9, 8, 7]),
+            )
             .unwrap();
         // Corrupt the *next* retrieve only (transfer ordinals count from
         // plan installation).
@@ -1281,7 +1306,13 @@ mod tests {
         hub.set_retransmit_budget(3);
         let before = devices.get(gpu).unwrap().clock().transfer_ns();
         let err = hub
-            .load_whole_input(&mut devices, DataRef::Input(0), gpu, "in0", &[1, 2, 3])
+            .load_whole_input(
+                &mut devices,
+                DataRef::Input(0),
+                gpu,
+                "in0",
+                &bound(&[1, 2, 3]),
+            )
             .unwrap_err();
         assert!(
             matches!(err, ExecError::TransferCorrupted { device, .. } if device == gpu),
@@ -1341,7 +1372,7 @@ mod tests {
         // With no host copy it still reads through the quarantined holder
         // as a last resort (Input refs have no host accumulation).
         let last_resort = DataRef::Input(0);
-        hub.load_whole_input(&mut devices, last_resort, gpu, "in0", &[1, 2])
+        hub.load_whole_input(&mut devices, last_resort, gpu, "in0", &bound(&[1, 2]))
             .unwrap();
         hub.router(&mut devices, last_resort, cpu).unwrap();
         assert!(devices.get(gpu).unwrap().clock().bytes_d2h() > d2h_before);
@@ -1359,7 +1390,13 @@ mod tests {
         let mut buffers = Vec::with_capacity(n);
         for i in 0..n {
             let id = hub
-                .load_whole_input(&mut devices, DataRef::Input(i), gpu, "in0", &[i as i64])
+                .load_whole_input(
+                    &mut devices,
+                    DataRef::Input(i),
+                    gpu,
+                    "in0",
+                    &bound(&[i as i64]),
+                )
                 .unwrap();
             buffers.push((gpu, id));
         }

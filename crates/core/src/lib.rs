@@ -29,6 +29,7 @@ pub mod executor;
 pub mod fusion;
 pub mod graph;
 pub mod hub;
+pub mod inputs;
 pub mod models;
 pub mod pipeline;
 pub mod residency;

@@ -18,8 +18,8 @@
 //!   then uploads the column through its checksummed `place_verified` path
 //!   and commits ([`ResidencyCache::commit_pin`]) or aborts
 //!   ([`ResidencyCache::abort_pin`]) the entry.
-//! * **Hit** — a valid entry (fingerprint match, buffer still in the pool)
-//!   is served in place; nothing crosses the bus.
+//! * **Hit** — a valid entry (key match, buffer still in the pool) is
+//!   served in place; nothing crosses the bus.
 //! * **Evict** — pins are evicted in LRU order (ties broken by the lowest
 //!   modeled re-transfer cost, then name) whenever the per-device budget or
 //!   the admission ledger needs room. Eviction frees the device buffer and
@@ -29,6 +29,15 @@
 //!   device, quarantine, circuit-breaker trips) drops the device's entries
 //!   instead of trusting — or leaking — them.
 //!
+//! # Keys
+//!
+//! Every lookup, commit and placement probe compares a [`ColumnKey`]: the
+//! column's length plus a word-wise FNV-1a fingerprint of its values. The
+//! cache takes the key from the caller and never reads column bytes. Bound
+//! inputs compute their key at most once per binding and only when a cache
+//! asks, so a run with chunks on several devices hashes each input column
+//! once, and a run without a cache not at all.
+//!
 //! Cache-owned buffer ids live in their own id range (`1 << 48` up) so they
 //! can never collide with the hub's per-run ids, which restart at 1 each
 //! run.
@@ -36,7 +45,6 @@
 use adamant_device::buffer::BufferId;
 use adamant_device::device::DeviceId;
 use adamant_device::registry::DeviceRegistry;
-use adamant_storage::fnv::{fnv1a_extend, FNV_OFFSET};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// First buffer id the cache allocates from — far above any per-run hub id.
@@ -80,14 +88,33 @@ pub struct ResidencyCounters {
     pub saved_transfer_ns: f64,
 }
 
+/// What the cache compares to tell whether a pin still holds a column's
+/// contents: the element count and a fingerprint of the values. The cache
+/// never hashes a column itself; a bound input supplies its key, computed
+/// at most once per binding (see [`crate::inputs::BoundColumn::key`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ColumnKey {
+    len: usize,
+    fingerprint: u64,
+}
+
+impl ColumnKey {
+    pub(crate) fn new(len: usize, fingerprint: u64) -> Self {
+        ColumnKey { len, fingerprint }
+    }
+
+    /// Bytes the column occupies on a device.
+    fn bytes(self) -> u64 {
+        (self.len as u64) * 8
+    }
+}
+
 #[derive(Clone, Debug)]
 struct Entry {
     id: BufferId,
-    bytes: u64,
-    /// Input fingerprint: element count + FNV-1a over the column bytes. A
-    /// rebound input with different contents must never serve a stale hit.
-    len: usize,
-    fingerprint: u64,
+    /// The pinned column's key. A rebound input with different contents
+    /// must never serve a stale hit.
+    key: ColumnKey,
     /// Recency stamp for LRU ordering.
     last_used: u64,
     /// Modeled cost of re-uploading this column, the eviction tie-breaker:
@@ -96,14 +123,6 @@ struct Entry {
     /// Generation (run number) the entry was pinned in — hits only count
     /// once the pin survives into a later run.
     pinned_gen: u64,
-}
-
-/// FNV-1a over the little-endian bytes of a column (deterministic, cheap,
-/// no dependencies).
-fn fingerprint(column: &[i64]) -> u64 {
-    column
-        .iter()
-        .fold(FNV_OFFSET, |h, v| fnv1a_extend(h, &v.to_le_bytes()))
 }
 
 /// The cross-query device-residency cache. Owned by the executor between
@@ -174,24 +193,25 @@ impl ResidencyCache {
         self.seen_this_run.clear();
     }
 
-    /// Looks up a valid pin of `(device, name)` matching `column`,
-    /// counting a cross-run hit or a miss on the first touch per run.
+    /// Looks up a valid pin of `(device, name)` whose key matches
+    /// `column`'s, counting a cross-run hit or a miss on the first touch
+    /// per run.
     ///
-    /// A stale entry (fingerprint mismatch, or its buffer vanished from the
-    /// pool — e.g. a device reset) is invalidated on the spot, releasing its
+    /// A stale entry (key mismatch, or its buffer vanished from the pool —
+    /// e.g. a device reset) is invalidated on the spot, releasing its
     /// admission charge, and reported as a miss.
     pub fn lookup(
         &mut self,
         devices: &mut DeviceRegistry,
         device: DeviceId,
         name: &str,
-        column: &[i64],
+        column: impl Into<ColumnKey>,
     ) -> Option<BufferId> {
+        let column = column.into();
         let key = (device, name.to_string());
         let valid = match self.entries.get(&key) {
             Some(e) => {
-                e.len == column.len()
-                    && e.fingerprint == fingerprint(column)
+                e.key == column
                     && devices
                         .get(device)
                         .map(|d| d.pool().contains(e.id))
@@ -225,12 +245,18 @@ impl ResidencyCache {
         self.counters.saved_transfer_ns += ns;
     }
 
-    /// Bytes a pin of `(device, name)` matching `column` holds — 0 when
-    /// absent or stale. Read-only (no hit/miss accounting, no invalidation);
-    /// placement uses it to discount transfer cost for cache-warm devices.
-    pub fn resident_bytes(&self, device: DeviceId, name: &str, column: &[i64]) -> u64 {
+    /// Bytes a pin of `(device, name)` matching `column`'s key holds — 0
+    /// when absent or stale. Read-only (no hit/miss accounting, no
+    /// invalidation); placement uses it to discount transfer cost for
+    /// cache-warm devices.
+    pub fn resident_bytes(
+        &self,
+        device: DeviceId,
+        name: &str,
+        column: impl Into<ColumnKey>,
+    ) -> u64 {
         match self.entries.get(&(device, name.to_string())) {
-            Some(e) if e.len == column.len() && e.fingerprint == fingerprint(column) => e.bytes,
+            Some(e) if e.key == column.into() => e.key.bytes(),
             _ => 0,
         }
     }
@@ -278,30 +304,28 @@ impl ResidencyCache {
         Some(BufferId(self.next_id))
     }
 
-    /// Commits a pin whose upload succeeded.
+    /// Commits a pin whose upload succeeded, under `column`'s key.
     pub fn commit_pin(
         &mut self,
         device: DeviceId,
         name: &str,
-        column: &[i64],
+        column: impl Into<ColumnKey>,
         id: BufferId,
         transfer_cost_ns: f64,
     ) {
-        let bytes = (column.len() as u64) * 8;
+        let key = column.into();
         self.seq += 1;
         self.entries.insert(
             (device, name.to_string()),
             Entry {
                 id,
-                bytes,
-                len: column.len(),
-                fingerprint: fingerprint(column),
+                key,
                 last_used: self.seq,
                 transfer_cost_ns,
                 pinned_gen: self.generation,
             },
         );
-        *self.pinned.entry(device).or_insert(0) += bytes;
+        *self.pinned.entry(device).or_insert(0) += key.bytes();
     }
 
     /// Unwinds a pin whose upload failed: releases the admission charge and
@@ -408,7 +432,7 @@ impl ResidencyCache {
             };
             self.counters.invalidations += 1;
             self.freed.push((device, entry.id));
-            total += entry.bytes;
+            total += entry.key.bytes();
         }
         self.pinned.remove(&device);
         total
@@ -453,16 +477,16 @@ impl ResidencyCache {
         }
         let device = key.0;
         if let Some(p) = self.pinned.get_mut(&device) {
-            *p = p.saturating_sub(entry.bytes);
+            *p = p.saturating_sub(entry.key.bytes());
         }
         if let Ok(dev) = devices.get_mut(device) {
-            dev.pool_mut().admission_release(entry.bytes);
+            dev.pool_mut().admission_release(entry.key.bytes());
             if dev.pool().contains(entry.id) {
                 let _ = dev.delete_memory(entry.id);
             }
         }
         self.freed.push((device, entry.id));
-        entry.bytes
+        entry.key.bytes()
     }
 }
 
@@ -470,6 +494,21 @@ impl ResidencyCache {
 mod tests {
     use super::*;
     use adamant_device::profiles::DeviceProfile;
+    use adamant_storage::fnv::{fnv1a_words, FNV_OFFSET};
+
+    // Keys straight from bare columns, hashed on every call: fine for these
+    // small fixtures; the engine keys bound inputs through `BoundColumn`.
+    impl From<&[i64]> for ColumnKey {
+        fn from(column: &[i64]) -> Self {
+            ColumnKey::new(column.len(), fnv1a_words(FNV_OFFSET, column))
+        }
+    }
+
+    impl From<&Vec<i64>> for ColumnKey {
+        fn from(column: &Vec<i64>) -> Self {
+            column.as_slice().into()
+        }
+    }
 
     fn one_device() -> (DeviceRegistry, DeviceId) {
         let mut reg = DeviceRegistry::new();

@@ -5,9 +5,12 @@
 //! slow there, and the usual `rustc-hash` crate is not on the allowed
 //! dependency list, so we ship a ~40-line FNV-1a implementation.
 //!
-//! [`fnv1a_extend`] is the workspace's only FNV-1a: the hash tables, the
-//! hub's transfer checksums, residency fingerprints and checkpoint seals
-//! all go through it.
+//! Two folds share the FNV-1a constants. [`fnv1a_extend`] folds one byte
+//! per step: the hash tables, the hub's transfer checksums and checkpoint
+//! seals go through it, and their known-answer values depend on it.
+//! [`fnv1a_words`] folds one whole `i64` per step, eight times fewer
+//! multiplies; the residency cache fingerprints bound input columns with
+//! it.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -28,6 +31,19 @@ pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Folds `words` into the FNV-1a state `h` (start from [`FNV_OFFSET`]) one
+/// whole word per step: `h = (h ^ w) * FNV_PRIME`. For a fixed word a step
+/// is a bijection of `h`, and for a fixed `h` a bijection of the word, so
+/// changing any single element always changes the result. Not
+/// interchangeable with [`fnv1a_extend`] over the same bytes.
+#[inline]
+pub fn fnv1a_words(mut h: u64, words: &[i64]) -> u64 {
+    for &w in words {
+        h = (h ^ w as u64).wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -83,6 +99,60 @@ mod tests {
         assert_eq!(
             fnv1a_extend(fnv1a_extend(FNV_OFFSET, b"ada"), b"mant"),
             fnv1a_extend(FNV_OFFSET, b"adamant")
+        );
+    }
+
+    #[test]
+    fn word_fold_known_answers() {
+        assert_eq!(fnv1a_words(FNV_OFFSET, &[]), FNV_OFFSET);
+        assert_eq!(fnv1a_words(FNV_OFFSET, &[0]), 0xaf63_bd4c_8601_b7df);
+        assert_eq!(fnv1a_words(FNV_OFFSET, &[1]), 0xaf63_bc4c_8601_b62c);
+        assert_eq!(fnv1a_words(FNV_OFFSET, &[-1]), 0x509c_41b3_79fe_466e);
+        assert_eq!(fnv1a_words(FNV_OFFSET, &[1, 2, 3]), 0xd0aa_6218_672c_f5ab);
+        assert_eq!(
+            fnv1a_words(fnv1a_words(FNV_OFFSET, &[1]), &[2, 3]),
+            fnv1a_words(FNV_OFFSET, &[1, 2, 3])
+        );
+    }
+
+    #[test]
+    fn word_fold_detects_every_single_bit_flip() {
+        let column: Vec<i64> = (0..64).map(|i| i * 0x9e37_79b9 - 7).collect();
+        let clean = fnv1a_words(FNV_OFFSET, &column);
+        let mut flipped = column.clone();
+        for i in 0..column.len() {
+            for bit in 0..64 {
+                flipped[i] ^= 1 << bit;
+                assert_ne!(
+                    fnv1a_words(FNV_OFFSET, &flipped),
+                    clean,
+                    "flip of bit {bit} in element {i} went unnoticed"
+                );
+                flipped[i] = column[i];
+            }
+        }
+    }
+
+    #[test]
+    fn word_fold_separates_prefixes_and_lengths() {
+        let column: Vec<i64> = (0..64).collect();
+        let full = fnv1a_words(FNV_OFFSET, &column);
+        let mut seen: FnvHashSet<u64> = FnvHashSet::default();
+        for n in 0..=column.len() {
+            assert!(
+                seen.insert(fnv1a_words(FNV_OFFSET, &column[..n])),
+                "prefix of {n} elements collided"
+            );
+        }
+        for tail in [0, 1, -1, 64] {
+            let mut longer = column.clone();
+            longer.push(tail);
+            assert_ne!(fnv1a_words(FNV_OFFSET, &longer), full, "appended {tail}");
+        }
+        let zeros = [0i64; 8];
+        assert_ne!(
+            fnv1a_words(FNV_OFFSET, &zeros[..3]),
+            fnv1a_words(FNV_OFFSET, &zeros[..4])
         );
     }
 

@@ -342,3 +342,88 @@ fn cached_and_uncached_results_agree() {
         );
     }
 }
+
+/// `catalog` with lineitem's `column` replaced by `values`.
+fn with_lineitem_column(catalog: &Catalog, column: &str, values: Vec<i64>) -> Catalog {
+    let mut changed = catalog.clone();
+    let lineitem = changed.drop_table("lineitem").unwrap();
+    let columns = lineitem
+        .columns()
+        .iter()
+        .map(|c| match c.name() == column {
+            true => adamant::storage::Column::from_i64(column, values.clone()),
+            false => c.clone(),
+        })
+        .collect();
+    changed.register(adamant::storage::Table::new("lineitem", columns).unwrap());
+    changed
+}
+
+/// Rebinding an input under the same name to a column of the same length
+/// that differs in one element must never be served from the old pin:
+/// the next run misses and invalidates it, answers for the new data, and
+/// placement stops pricing the rebound column as resident.
+#[test]
+fn rebinding_an_input_to_new_contents_invalidates_its_pin() {
+    const REBOUND: &str = "l_extendedprice";
+    let catalog = TpchGenerator::new(0.001, 5).generate();
+    let reference = adamant::tpch::reference::q6(&catalog).unwrap();
+    let prices = catalog
+        .table("lineitem")
+        .unwrap()
+        .column(REBOUND)
+        .unwrap()
+        .to_i64_vec()
+        .unwrap();
+    // The first row whose price Q6 sums, raised by one cent.
+    let (new_prices, new_reference) = (0..prices.len())
+        .find_map(|row| {
+            let mut changed = prices.clone();
+            changed[row] += 1;
+            let new_catalog = with_lineitem_column(&catalog, REBOUND, changed.clone());
+            let new_reference = adamant::tpch::reference::q6(&new_catalog).unwrap();
+            (new_reference != reference).then_some((changed, new_reference))
+        })
+        .expect("some row contributes to Q6");
+    let column_bytes = (prices.len() * 8) as u64;
+
+    for model in ExecutionModel::ALL {
+        let mut engine = cached_engine(1 << 30, None);
+        let dev = engine.device_ids()[0];
+        let graph = TpchQuery::Q6.plan(dev, &catalog).unwrap();
+        let mut inputs = TpchQuery::Q6.bind(&catalog).unwrap();
+        let (out, _) = engine.run(&graph, &inputs, model).unwrap();
+        assert_eq!(adamant::tpch::queries::q6::decode(&out), reference);
+        let all_resident = engine.executor().residency_resident_bytes(dev, &inputs);
+        assert_eq!(
+            all_resident,
+            inputs.iter().map(|(_, c)| c.len() as u64 * 8).sum::<u64>(),
+            "{model:?}: every Q6 input pinned after the cold run"
+        );
+
+        inputs.bind(REBOUND, new_prices.clone());
+        assert_eq!(
+            engine.executor().residency_resident_bytes(dev, &inputs),
+            all_resident - column_bytes,
+            "{model:?}: the rebound column is still priced as resident"
+        );
+        let (out, stats) = engine.run(&graph, &inputs, model).unwrap();
+        assert_eq!(
+            adamant::tpch::queries::q6::decode(&out),
+            new_reference,
+            "{model:?}: the rerun answered from the stale pin"
+        );
+        assert_eq!(
+            (stats.cache_misses, stats.cache_invalidations),
+            (1, 1),
+            "{model:?}: the rebound column must miss and invalidate once"
+        );
+        assert_eq!(stats.cache_hits, inputs.len() - 1, "{model:?}");
+        assert_eq!(
+            engine.executor().residency_resident_bytes(dev, &inputs),
+            all_resident,
+            "{model:?}: the new contents are pinned in place of the old"
+        );
+        assert_no_leaks(&mut engine, &format!("rebinding {model:?}"));
+    }
+}
