@@ -986,6 +986,7 @@ impl DataTransferHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adamant_device::fault::FaultPlan;
     use adamant_device::profiles::DeviceProfile;
 
     fn bound(values: &[i64]) -> BoundColumn {
@@ -1476,5 +1477,91 @@ mod tests {
             HostAccum::Numeric(v) => assert_eq!(v, vec![1, 2]),
             other => panic!("{other:?}"),
         }
+    }
+
+    /// A hub plus a GPU holding buffer `id` = `0..8`, with `plan` installed
+    /// after that first placement (fault ordinals count from the install).
+    fn eight_element_buffer(
+        plan: FaultPlan,
+    ) -> (DataTransferHub, DeviceRegistry, DeviceId, BufferId) {
+        let (mut devices, gpu, _) = two_devices();
+        let mut hub = DataTransferHub::new();
+        let id = hub.fresh_id();
+        hub.place_verified(&mut devices, gpu, id, BufferData::I64((0..8).collect()), 0)
+            .unwrap();
+        devices.get_mut(gpu).unwrap().set_fault_plan(plan);
+        (hub, devices, gpu, id)
+    }
+
+    #[test]
+    fn place_verified_at_an_offset_retransmits_a_corrupted_placement_once() {
+        let (mut hub, mut devices, gpu, id) =
+            eight_element_buffer(FaultPlan::none().corrupt_on_place(1));
+        let sent = BufferData::I64(vec![-10, -11, -12]);
+        let h2d = devices.get(gpu).unwrap().clock().bytes_h2d();
+        hub.place_verified(&mut devices, gpu, id, sent.clone(), 3)
+            .unwrap();
+        let dev = devices.get_mut(gpu).unwrap();
+        assert_eq!(
+            dev.clock().bytes_h2d() - h2d,
+            2 * sent.byte_len(),
+            "exactly one retransmit"
+        );
+        assert_eq!(dev.fault_counters().corruptions_injected, 1);
+        assert_eq!(dev.retrieve_data(id, Some(3), 3).unwrap(), sent);
+        assert_eq!(
+            dev.retrieve_data(id, None, 0).unwrap(),
+            BufferData::I64(vec![0, 1, 2, -10, -11, -12, 6, 7]),
+            "the rest of the buffer is untouched"
+        );
+        assert_eq!(
+            hub.take_corruption_retransmits(),
+            BTreeMap::from([(gpu, 1)])
+        );
+    }
+
+    #[test]
+    fn retrieve_verified_at_an_offset_rereads_a_corrupted_retrieval_once() {
+        let (mut hub, mut devices, gpu, id) =
+            eight_element_buffer(FaultPlan::none().corrupt_on_retrieve(1));
+        let d2h = devices.get(gpu).unwrap().clock().bytes_d2h();
+        let got = hub
+            .retrieve_verified(&mut devices, gpu, id, Some(3), 2)
+            .unwrap();
+        assert_eq!(got, BufferData::I64(vec![2, 3, 4]));
+        let dev = devices.get(gpu).unwrap();
+        assert_eq!(
+            dev.clock().bytes_d2h() - d2h,
+            2 * got.byte_len(),
+            "exactly one re-read"
+        );
+        assert_eq!(dev.fault_counters().corruptions_injected, 1);
+        assert_eq!(
+            hub.take_corruption_retransmits(),
+            BTreeMap::from([(gpu, 1)])
+        );
+    }
+
+    #[test]
+    fn a_budget_of_one_turns_one_corruption_into_transfer_corrupted() {
+        let (mut hub, mut devices, gpu, id) =
+            eight_element_buffer(FaultPlan::none().corrupt_on_place(1).corrupt_on_retrieve(1));
+        hub.set_retransmit_budget(1);
+        let place = hub.place_verified(&mut devices, gpu, id, BufferData::I64(vec![9]), 5);
+        assert!(
+            matches!(place, Err(ExecError::TransferCorrupted { device, buffer })
+                if device == gpu && buffer == id),
+            "{place:?}"
+        );
+        let retrieve = hub.retrieve_verified(&mut devices, gpu, id, Some(2), 0);
+        assert!(
+            matches!(retrieve, Err(ExecError::TransferCorrupted { device, buffer })
+                if device == gpu && buffer == id),
+            "{retrieve:?}"
+        );
+        assert_eq!(
+            hub.take_corruption_retransmits(),
+            BTreeMap::from([(gpu, 2)])
+        );
     }
 }

@@ -27,8 +27,14 @@ pub struct BoundColumn {
 impl BoundColumn {
     /// Binds `values`; the fingerprint is not computed yet.
     pub fn new(values: Vec<i64>) -> Self {
+        BoundColumn::shared(Arc::new(values))
+    }
+
+    /// Binds values shared with their owner (no copy). The binding still
+    /// gets a fingerprint slot of its own, not computed yet.
+    pub fn shared(values: Arc<Vec<i64>>) -> Self {
         BoundColumn {
-            values: Arc::new(values),
+            values,
             fingerprint: Arc::new(OnceLock::new()),
         }
     }
@@ -88,9 +94,12 @@ impl QueryInputs {
     }
 
     /// Binds a storage column (widened to `i64`; dictionary columns bind
-    /// their codes).
+    /// their codes). The widening is the column's own cached one
+    /// ([`Column::i64_values`]), shared rather than copied, so binding the
+    /// same catalog column again for the next query costs no pass over it.
     pub fn bind_column(&mut self, name: impl Into<String>, column: &Column) -> Result<()> {
-        self.bind(name, column.to_i64_vec()?);
+        let values = Arc::clone(column.i64_values()?);
+        self.cols.insert(name.into(), BoundColumn::shared(values));
         Ok(())
     }
 
@@ -146,6 +155,27 @@ mod tests {
         inputs.bind("x", changed);
         assert!(!inputs.get("x").unwrap().fingerprint_computed());
         assert_ne!(inputs.get("x").unwrap().key(), key);
+    }
+
+    #[test]
+    fn catalog_bindings_share_values_but_not_fingerprints() {
+        let column = Column::from_i32("x", (0..100).collect());
+        let mut first = QueryInputs::new();
+        first.bind_column("x", &column).unwrap();
+        let mut second = QueryInputs::new();
+        second.bind_column("x", &column).unwrap();
+        let (a, b) = (first.get("x").unwrap(), second.get("x").unwrap());
+        assert!(Arc::ptr_eq(a.values(), b.values()), "widened once, shared");
+        assert_eq!(**a.values(), (0..100).collect::<Vec<i64>>());
+        let key = a.key();
+        assert!(
+            !b.fingerprint_computed(),
+            "each binding owns its fingerprint slot"
+        );
+        assert_eq!(b.key(), key);
+        assert!(QueryInputs::new()
+            .bind_column("f", &Column::from_f64("f", vec![1.0]))
+            .is_err());
     }
 
     /// `SELECT x FROM t WHERE x < y`: whole-input loads under

@@ -7,7 +7,7 @@
 //! `retrieve_data` — the runtime never reaches around the interface.
 
 use crate::sdk::SdkRepr;
-use adamant_storage::fnv::{fnv1a_extend, FNV_OFFSET};
+use adamant_storage::fnv::{fnv1a_extend, fnv1a_word, fnv1a_words, FNV_OFFSET};
 use std::any::Any;
 use std::fmt;
 
@@ -158,8 +158,7 @@ impl BufferData {
     /// `Generic` payloads do not support slicing; they are cloned whole
     /// (chunking a hash table has no meaning — the runtime never does it).
     pub fn slice(&self, offset: usize, len: usize) -> BufferData {
-        let end = (offset + len).min(self.len());
-        let offset = offset.min(end);
+        let (offset, end) = self.clamp(offset, len);
         match self {
             BufferData::I64(v) => BufferData::I64(v[offset..end].to_vec()),
             BufferData::F64(v) => BufferData::F64(v[offset..end].to_vec()),
@@ -168,6 +167,13 @@ impl BufferData {
             BufferData::Raw(v) => BufferData::Raw(v[offset..end].to_vec()),
             BufferData::Generic(g) => BufferData::Generic(g.clone_box()),
         }
+    }
+
+    /// The element range `offset..offset+len` clipped to the payload, as
+    /// `(start, end)` with `start <= end <= len()`.
+    fn clamp(&self, offset: usize, len: usize) -> (usize, usize) {
+        let end = offset.saturating_add(len).min(self.len());
+        (offset.min(end), end)
     }
 
     /// Borrows the payload as `i64`s.
@@ -218,24 +224,46 @@ impl BufferData {
         }
     }
 
-    /// Content checksum (FNV-1a over the element bytes).
+    /// Content checksum of every element; see [`BufferData::checksum_range`].
+    pub fn checksum(&self) -> u64 {
+        self.checksum_range(0, self.len())
+    }
+
+    /// Content checksum of elements `offset..offset+len`, clamped as
+    /// [`BufferData::slice`] clamps, computed in place: always equal to
+    /// `self.slice(offset, len).checksum()`, without the copy.
     ///
     /// The transfer-integrity protocol compares this on both ends of a
     /// host↔device copy: the hub checksums what it sent, the device echoes
     /// the checksum of what it stored, and a mismatch triggers a retransmit.
-    /// `Generic` payloads hash a structural marker (kind, element count,
-    /// byte length) only — opaque structures are built *on* the device, never
-    /// shipped over the simulated bus, so their content never transits.
-    pub fn checksum(&self) -> u64 {
-        let h = FNV_OFFSET;
+    /// Checkpoint seals fold it in as well.
+    ///
+    /// Typed payloads fold one whole element per word-wise FNV-1a step
+    /// ([`fnv1a_word`]): `I64` its value, `F64` its bit pattern, `U32` its
+    /// value widened to `u64`, `BitWords` each word. Every step is a
+    /// bijection of the running state and of the element, so changing any
+    /// single element always changes the checksum. The fold starts from a
+    /// seed per kind (the kind name hashed into the offset basis), so equal
+    /// numbers held as different kinds checksum differently. `Raw` bytes
+    /// keep the byte-wise fold. `Generic` payloads hash a structural marker
+    /// (kind, element count, byte length) only — opaque structures are built
+    /// *on* the device, never shipped over the simulated bus, so their
+    /// content never transits — and ignore the range, as `slice` does.
+    pub fn checksum_range(&self, offset: usize, len: usize) -> u64 {
+        let (lo, hi) = self.clamp(offset, len);
+        let seed = || fnv1a_extend(FNV_OFFSET, self.kind().as_bytes());
         match self {
-            BufferData::I64(v) => v.iter().fold(h, |h, x| fnv1a_extend(h, &x.to_le_bytes())),
-            BufferData::F64(v) => v.iter().fold(h, |h, x| fnv1a_extend(h, &x.to_le_bytes())),
-            BufferData::U32(v) => v.iter().fold(h, |h, x| fnv1a_extend(h, &x.to_le_bytes())),
-            BufferData::BitWords(v) => v.iter().fold(h, |h, x| fnv1a_extend(h, &x.to_le_bytes())),
-            BufferData::Raw(v) => fnv1a_extend(h, v),
+            BufferData::I64(v) => fnv1a_words(seed(), &v[lo..hi]),
+            BufferData::F64(v) => v[lo..hi]
+                .iter()
+                .fold(seed(), |h, x| fnv1a_word(h, x.to_bits())),
+            BufferData::U32(v) => v[lo..hi]
+                .iter()
+                .fold(seed(), |h, &x| fnv1a_word(h, u64::from(x))),
+            BufferData::BitWords(v) => v[lo..hi].iter().fold(seed(), |h, &w| fnv1a_word(h, w)),
+            BufferData::Raw(v) => fnv1a_extend(FNV_OFFSET, &v[lo..hi]),
             BufferData::Generic(g) => {
-                let h = fnv1a_extend(h, b"generic");
+                let h = fnv1a_extend(FNV_OFFSET, b"generic");
                 let h = fnv1a_extend(h, &(g.len() as u64).to_le_bytes());
                 fnv1a_extend(h, &g.byte_len().to_le_bytes())
             }
@@ -315,23 +343,117 @@ mod tests {
         assert!(e.is_empty());
     }
 
+    /// The typed checksums spelled out from the FNV-1a definition, with its
+    /// constants written out here rather than imported: hash the kind name
+    /// a byte at a time into the offset basis, then fold each element's
+    /// 64-bit word as `h = (h ^ w) * prime`.
+    fn reference_checksum(kind: &str, words: &[u64]) -> u64 {
+        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h = OFFSET;
+        for &b in kind.as_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(PRIME);
+        }
+        for &w in words {
+            h ^= w;
+            h = h.wrapping_mul(PRIME);
+        }
+        h
+    }
+
     #[test]
     fn checksums_match_fixed_values() {
-        let cases = [
+        let typed = [
             (
                 BufferData::I64(vec![1, -2, 3_000_000_000, i64::MIN]),
-                0x31af_0120_d724_a409,
+                vec![1, -2i64 as u64, 3_000_000_000, 1 << 63],
+                0x82fc_8ee3_fde4_1ac9,
             ),
-            (BufferData::F64(vec![0.5, -1.25]), 0x2760_67d4_e555_1091),
-            (BufferData::U32(vec![7, u32::MAX]), 0x29a2_251b_da36_66be),
+            (
+                BufferData::F64(vec![0.5, -1.25]),
+                vec![0x3fe0_0000_0000_0000, 0xbff4_0000_0000_0000],
+                0xef7b_7b8b_77f8_8563,
+            ),
+            (
+                BufferData::U32(vec![7, u32::MAX]),
+                vec![7, 0xffff_ffff],
+                0x010c_9a6b_9d91_0407,
+            ),
             (
                 BufferData::BitWords(vec![0xdead_beef]),
-                0x7513_fc78_a110_e05b,
+                vec![0xdead_beef],
+                0x1dab_d47e_9240_95b2,
             ),
-            (BufferData::Raw(b"adamant".to_vec()), 0x41f4_5a7e_027d_ad33),
         ];
-        for (data, want) in cases {
-            assert_eq!(data.checksum(), want, "{:?}", data.kind());
+        for (data, words, want) in typed {
+            assert_eq!(
+                reference_checksum(data.kind(), &words),
+                want,
+                "{}",
+                data.kind()
+            );
+            assert_eq!(data.checksum(), want, "{}", data.kind());
+        }
+        // Raw bytes keep the byte-wise fold from the bare offset basis.
+        assert_eq!(
+            BufferData::Raw(b"adamant".to_vec()).checksum(),
+            0x41f4_5a7e_027d_ad33
+        );
+    }
+
+    #[test]
+    fn checksum_detects_every_single_bit_flip_in_every_kind() {
+        let payloads = [
+            BufferData::I64((0..16).map(|i| i * 0x9e37_79b9 - 7).collect()),
+            BufferData::F64((0..16).map(|i| f64::from(i) * 0.75 - 3.0).collect()),
+            BufferData::U32((0..16).map(|i| i * 0x0101_0101).collect()),
+            BufferData::BitWords((0..16).map(|i| !0u64 >> i).collect()),
+        ];
+        for clean in payloads {
+            let base = clean.checksum();
+            let bits = clean.byte_len() as usize * 8 / clean.len();
+            for i in 0..clean.len() {
+                for bit in 0..bits {
+                    let mut dirty = clean.clone();
+                    match &mut dirty {
+                        BufferData::I64(v) => v[i] ^= 1 << bit,
+                        BufferData::F64(v) => v[i] = f64::from_bits(v[i].to_bits() ^ (1 << bit)),
+                        BufferData::U32(v) => v[i] ^= 1 << bit,
+                        BufferData::BitWords(v) => v[i] ^= 1 << bit,
+                        _ => unreachable!(),
+                    }
+                    assert_ne!(
+                        dirty.checksum(),
+                        base,
+                        "{}: flip of bit {bit} in element {i} went unnoticed",
+                        clean.kind()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_range_equals_checksum_of_slice() {
+        let payloads = [
+            BufferData::I64((0..6).map(|i| i * 11 - 20).collect()),
+            BufferData::F64(vec![0.5, -1.25, 3.0, f64::MAX, -0.0, 1e-300]),
+            BufferData::U32(vec![0, 1, 7, u32::MAX, 42, 9]),
+            BufferData::BitWords(vec![0, !0, 0xdead_beef, 1 << 63, 5, 6]),
+            BufferData::Raw(b"adamant".to_vec()),
+        ];
+        for data in payloads {
+            for o in 0..data.len() + 3 {
+                for n in (0..data.len() + 3).chain([usize::MAX]) {
+                    assert_eq!(
+                        data.checksum_range(o, n),
+                        data.slice(o, n).checksum(),
+                        "{} range ({o}, {n})",
+                        data.kind()
+                    );
+                }
+            }
         }
     }
 

@@ -208,12 +208,13 @@ pub trait Device: Send {
     /// The hub compares this echo against the checksum of what it sent to
     /// detect silent corruption end-to-end. The echo is an 8-byte control
     /// message, so it is deliberately free on the simulated clock. The
-    /// default implementation reads the device's own pool, which is correct
-    /// for any driver whose `place_data` stores through [`Self::pool_mut`].
+    /// default implementation hashes the range in place in the device's own
+    /// pool ([`BufferData::checksum_range`], no copy), which is correct for
+    /// any driver whose `place_data` stores through [`Self::pool_mut`].
     fn buffer_checksum(&self, id: BufferId, len: Option<usize>, offset: usize) -> Result<u64> {
         let buf = self.pool().get(id)?;
         let n = len.unwrap_or_else(|| buf.data.len().saturating_sub(offset));
-        Ok(buf.data.slice(offset, n).checksum())
+        Ok(buf.data.checksum_range(offset, n))
     }
 }
 

@@ -865,7 +865,7 @@ impl<'a> Binder<'a> {
         if let Some(dict) = col.dictionary() {
             return Ok((0, dict.len() as i64 - 1));
         }
-        let vals = col.to_i64_vec().map_err(|e| {
+        let vals = col.i64_values().map_err(|e| {
             SqlError::bind(
                 format!("cannot read column `{name}`: {e:?}"),
                 Span::default(),

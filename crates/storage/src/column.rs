@@ -4,6 +4,8 @@ use crate::bitmap::Bitmap;
 use crate::datatype::{DataType, Value};
 use crate::error::StorageError;
 use crate::position::PositionList;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// The physical payload of a column.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,10 +62,32 @@ impl ColumnData {
 }
 
 /// A named, typed column.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// The rows widened to `i64` are computed at most once, on the first
+/// [`Column::i64_values`] call, and shared from then on: every query that
+/// binds the column reuses the same `Arc` instead of widening a fresh copy.
+/// [`Column::data_mut`] drops the cached widening. Equality and `Debug`
+/// look at the name and payload only.
+#[derive(Clone)]
 pub struct Column {
     name: String,
     data: ColumnData,
+    widened: OnceLock<Arc<Vec<i64>>>,
+}
+
+impl PartialEq for Column {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.data == other.data
+    }
+}
+
+impl fmt::Debug for Column {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Column")
+            .field("name", &self.name)
+            .field("data", &self.data)
+            .finish()
+    }
 }
 
 impl Column {
@@ -72,6 +96,7 @@ impl Column {
         Column {
             name: name.into(),
             data,
+            widened: OnceLock::new(),
         }
     }
 
@@ -124,8 +149,10 @@ impl Column {
         &self.data
     }
 
-    /// Mutable payload.
+    /// Mutable payload. Drops the cached `i64` widening, which the caller
+    /// may be about to invalidate.
     pub fn data_mut(&mut self) -> &mut ColumnData {
+        self.widened = OnceLock::new();
         &mut self.data
     }
 
@@ -177,7 +204,8 @@ impl Column {
         })
     }
 
-    /// The rows of the column widened to `i64` (device kernels run on i64).
+    /// The rows of the column widened to `i64` (device kernels run on i64),
+    /// as a fresh vector.
     ///
     /// Floats are rejected with a `TypeMismatch`; dictionary columns expose
     /// their codes.
@@ -194,6 +222,18 @@ impl Column {
                 })
             }
         })
+    }
+
+    /// The rows widened to `i64`, as [`Column::to_i64_vec`] widens them,
+    /// but computed only on the first call and shared by every later call
+    /// (and by clones of the column made after it). Floats are rejected
+    /// with a `TypeMismatch` each time; nothing is cached for them.
+    pub fn i64_values(&self) -> Result<&Arc<Vec<i64>>, StorageError> {
+        if let Some(values) = self.widened.get() {
+            return Ok(values);
+        }
+        let values = Arc::new(self.to_i64_vec()?);
+        Ok(self.widened.get_or_init(|| values))
     }
 
     /// The string dictionary, if this is a dictionary column.
@@ -333,6 +373,46 @@ mod tests {
             vec![10]
         );
         assert!(Column::from_f64("f", vec![1.0]).to_i64_vec().is_err());
+    }
+
+    #[test]
+    fn widening_is_cached_shared_and_dropped_on_mutation() {
+        let mut c = Column::from_i32("a", vec![-1, 2, 3]);
+        let first = Arc::clone(c.i64_values().unwrap());
+        assert_eq!(*first, vec![-1, 2, 3]);
+        assert!(
+            Arc::ptr_eq(&first, c.i64_values().unwrap()),
+            "second call reuses the first widening"
+        );
+        let copy = c.clone();
+        assert!(Arc::ptr_eq(&first, copy.i64_values().unwrap()));
+        assert_eq!(
+            copy,
+            Column::from_i32("a", vec![-1, 2, 3]),
+            "cache is not compared"
+        );
+        assert_eq!(
+            format!("{copy:?}"),
+            format!("{:?}", Column::from_i32("a", vec![-1, 2, 3]))
+        );
+
+        if let ColumnData::Int32(v) = c.data_mut() {
+            v[0] = 7;
+        }
+        let after = c.i64_values().unwrap();
+        assert_eq!(**after, vec![7, 2, 3], "mutation drops the stale widening");
+        assert!(!Arc::ptr_eq(&first, after));
+        assert_eq!(*first, vec![-1, 2, 3], "earlier holders keep their values");
+
+        let f = Column::from_f64("f", vec![1.0]);
+        assert!(f.i64_values().is_err());
+        assert!(f.i64_values().is_err());
+        assert_eq!(
+            **Column::from_strings("s", &["x", "y", "x"])
+                .i64_values()
+                .unwrap(),
+            vec![0, 1, 0]
+        );
     }
 
     #[test]

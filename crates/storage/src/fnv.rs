@@ -6,11 +6,13 @@
 //! dependency list, so we ship a ~40-line FNV-1a implementation.
 //!
 //! Two folds share the FNV-1a constants. [`fnv1a_extend`] folds one byte
-//! per step: the hash tables, the hub's transfer checksums and checkpoint
-//! seals go through it, and their known-answer values depend on it.
-//! [`fnv1a_words`] folds one whole `i64` per step, eight times fewer
-//! multiplies; the residency cache fingerprints bound input columns with
-//! it.
+//! per step: the hash tables and the checkpoint seal's framing go through
+//! it, and their known-answer values depend on it. [`fnv1a_words`] (one
+//! [`fnv1a_word`] step per whole word: one multiply per element where the
+//! byte fold takes one per byte) serves the residency fingerprints of
+//! bound input columns and the element-wise checksums of typed device
+//! buffers, which the hub's transfer checks and the checkpoint seals
+//! compare.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -35,17 +37,20 @@ pub fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Folds `words` into the FNV-1a state `h` (start from [`FNV_OFFSET`]) one
-/// whole word per step: `h = (h ^ w) * FNV_PRIME`. For a fixed word a step
-/// is a bijection of `h`, and for a fixed `h` a bijection of the word, so
-/// changing any single element always changes the result. Not
-/// interchangeable with [`fnv1a_extend`] over the same bytes.
+/// One word-wise FNV-1a step: `(h ^ w) * FNV_PRIME`. For a fixed word it
+/// is a bijection of `h`, and for a fixed `h` a bijection of the word.
 #[inline]
-pub fn fnv1a_words(mut h: u64, words: &[i64]) -> u64 {
-    for &w in words {
-        h = (h ^ w as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
+pub fn fnv1a_word(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(FNV_PRIME)
+}
+
+/// Folds `words` into the FNV-1a state `h` (start from [`FNV_OFFSET`]) one
+/// whole word per step ([`fnv1a_word`]). Because every step is a bijection
+/// of both its inputs, changing any single element always changes the
+/// result. Not interchangeable with [`fnv1a_extend`] over the same bytes.
+#[inline]
+pub fn fnv1a_words(h: u64, words: &[i64]) -> u64 {
+    words.iter().fold(h, |h, &w| fnv1a_word(h, w as u64))
 }
 
 impl Default for FnvHasher {
